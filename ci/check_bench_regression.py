@@ -13,6 +13,11 @@ the current results merged over the old rows — to `<results>/baseline.json`
 instead of failing, and CI uploads it with the other bench artifacts;
 download it and commit it as `bench/baseline.json`.
 
+Latency ceiling: with `--max-latency-rise-pct N` (disabled when 0, the
+default), a matched row also fails when its `latency_p50_us` or
+`latency_p99_us` rises more than N% above the baseline's. Each field is
+checked only when both the result row and the baseline row carry it.
+
 Thread-scaling floor: with `--scaling-floor-pct N` (disabled when 0, the
 default), every result row with `threads > 1` is additionally checked
 against the *same run's* 1-thread row of the same `(bench, series)`: total
@@ -26,7 +31,7 @@ cannot be expected to speed up.
 Usage:
     ci/check_bench_regression.py --baseline bench/baseline.json \
         --results <dir with BENCH_*.json> [--max-drop-pct 30] \
-        [--scaling-floor-pct 50]
+        [--max-latency-rise-pct 50] [--scaling-floor-pct 50]
 """
 
 import argparse
@@ -34,6 +39,10 @@ import glob
 import json
 import os
 import sys
+
+
+# Latency fields the optional ceiling checks (lower is better).
+LATENCY_FIELDS = ("latency_p50_us", "latency_p99_us")
 
 
 def load_rows(paths):
@@ -51,6 +60,7 @@ def main():
     parser.add_argument("--baseline", required=True)
     parser.add_argument("--results", required=True)
     parser.add_argument("--max-drop-pct", type=float, default=30.0)
+    parser.add_argument("--max-latency-rise-pct", type=float, default=0.0)
     parser.add_argument("--scaling-floor-pct", type=float, default=0.0)
     args = parser.parse_args()
 
@@ -94,6 +104,17 @@ def main():
         checked += 1
         if new < floor:
             failures.append(label)
+        if args.max_latency_rise_pct > 0:
+            for field in LATENCY_FIELDS:
+                if field not in row or field not in base:
+                    continue
+                old_us, new_us = base[field], row[field]
+                ceiling = old_us * (1.0 + args.max_latency_rise_pct / 100.0)
+                rise = (new_us - old_us) / old_us * 100.0 if old_us else 0.0
+                status = "OK" if new_us <= ceiling else "LATENCY REGRESSION"
+                print(f"  {status}: {label} {field} {new_us:.0f} us vs baseline {old_us:.0f} ({rise:+.1f}%)")
+                if new_us > ceiling:
+                    failures.append(f"{label} ({field})")
 
     if args.scaling_floor_pct > 0:
         singles = {
@@ -122,8 +143,10 @@ def main():
 
     if failures:
         print(
-            f"\nFAIL: {len(failures)} series dropped more than "
-            f"{args.max_drop_pct:.0f}% below bench/baseline.json: {', '.join(failures)}",
+            f"\nFAIL: {len(failures)} checks regressed against bench/baseline.json "
+            f"(throughput drop > {args.max_drop_pct:.0f}%, latency rise > "
+            f"{args.max_latency_rise_pct:.0f}% when enabled, or scaling collapse): "
+            f"{', '.join(failures)}",
             file=sys.stderr,
         )
         print(

@@ -1,7 +1,6 @@
 //! The database catalog: tables, index trees, and engine-wide state.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
@@ -171,7 +170,6 @@ pub struct Database {
     global_tid: GlobalTidGenerator,
     commit_hook: OnceLock<Arc<dyn CommitHook>>,
     history: OnceLock<Arc<HistoryRecorder>>,
-    next_worker_id: AtomicUsize,
 }
 
 impl std::fmt::Debug for Database {
@@ -201,7 +199,6 @@ impl Database {
             global_tid: GlobalTidGenerator::new(),
             commit_hook: OnceLock::new(),
             history: OnceLock::new(),
-            next_worker_id: AtomicUsize::new(0),
         })
     }
 
@@ -317,10 +314,12 @@ impl Database {
         stats
     }
 
-    /// Registers a new worker thread with the engine.
+    /// Registers a new worker thread with the engine. The worker's id is its
+    /// epoch-registry slot ([`silo_epoch::WorkerEpochHandle::id`]), so the
+    /// engine, the epoch subsystem and the commit hook all name a worker by
+    /// the same number.
     pub fn register_worker(self: &Arc<Self>) -> Worker {
-        let id = self.next_worker_id.fetch_add(1, Ordering::Relaxed);
-        Worker::new(Arc::clone(self), id)
+        Worker::new(Arc::clone(self))
     }
 
     /// Stops the background epoch advancer (if one is running). Called

@@ -58,8 +58,9 @@ impl std::fmt::Debug for Worker {
 }
 
 impl Worker {
-    pub(crate) fn new(db: Arc<Database>, id: usize) -> Self {
+    pub(crate) fn new(db: Arc<Database>) -> Self {
         let epoch = db.epochs().register_worker();
+        let id = epoch.id();
         let pool = RecordPool::new(db.config().per_worker_pool);
         let history = db
             .history_recorder()

@@ -94,6 +94,21 @@ impl RegistryChunk {
     }
 }
 
+/// A callback run after every successful epoch advance (see
+/// [`EpochManager::on_advance`]).
+type AdvanceListener = Box<dyn Fn() -> bool + Send + Sync>;
+
+/// The registered advance listeners. A newtype only so that
+/// [`EpochManager`] can keep deriving `Debug`.
+#[derive(Default)]
+struct AdvanceListeners(Mutex<Vec<AdvanceListener>>);
+
+impl std::fmt::Debug for AdvanceListeners {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} advance listener(s)", self.0.lock().len())
+    }
+}
+
 /// The global epoch state: `E`, `SE`, and all registered workers.
 ///
 /// A single `EpochManager` is shared (via `Arc`) by every worker thread, the
@@ -116,6 +131,8 @@ pub struct EpochManager {
     registered: AtomicUsize,
     /// Serializes registration (worker startup only — never on a hot path).
     register_lock: Mutex<()>,
+    /// Run after each successful [`EpochManager::try_advance`].
+    listeners: AdvanceListeners,
 }
 
 impl EpochManager {
@@ -131,6 +148,7 @@ impl EpochManager {
             workers: RegistryChunk::new(),
             registered: AtomicUsize::new(0),
             register_lock: Mutex::new(()),
+            listeners: AdvanceListeners::default(),
         })
     }
 
@@ -145,8 +163,12 @@ impl EpochManager {
     }
 
     /// Reads the global epoch `E`.
+    ///
+    /// The load is `SeqCst` (as cheap as `Acquire` on x86 and ARMv8): the
+    /// durability subsystem's bound on quiescent workers rests on it, see
+    /// [`EpochManager::local_epoch_of`].
     pub fn global_epoch(&self) -> u64 {
-        self.global_epoch.load(Ordering::Acquire)
+        self.global_epoch.load(Ordering::SeqCst)
     }
 
     /// Reads the global snapshot epoch `SE`.
@@ -171,8 +193,9 @@ impl EpochManager {
             .set(Arc::clone(&slot))
             .unwrap_or_else(|_| unreachable!("registry slot {id} filled twice"));
         // Publish the count only after the slot is set, so lock-free scans
-        // never see a gap.
-        self.registered.store(id + 1, Ordering::Release);
+        // never see a gap. `SeqCst` so that `local_epoch_of` reporting an id
+        // as unregistered carries the same guarantee as a quiescent slot.
+        self.registered.store(id + 1, Ordering::SeqCst);
         drop(guard);
         WorkerEpochHandle {
             manager: Arc::clone(self),
@@ -197,6 +220,53 @@ impl EpochManager {
                 None => return,
             }
         }
+    }
+
+    /// The local epoch `e_w` of the worker whose handle has this
+    /// [`WorkerEpochHandle::id`], or [`QUIESCENT`] if that worker is
+    /// quiescent, dropped, or not registered yet.
+    ///
+    /// This is how the durability subsystem bounds the epoch of a commit a
+    /// worker may still have in flight. Read `E` with
+    /// [`EpochManager::global_epoch`] *before* calling this; then:
+    ///
+    /// * a result `e_w ≠ QUIESCENT` means every commit the worker has not
+    ///   finished yet gets an epoch `≥ e_w` (a commit's epoch is read from
+    ///   `E` after the refresh that set `e_w`);
+    /// * a result of `QUIESCENT` means every later commit gets an epoch at
+    ///   least the `E` read before. The worker must first run
+    ///   [`WorkerEpochHandle::refresh`], which stores `e_w` and then re-reads
+    ///   `E`. The caller's two loads and the worker's store and re-load are
+    ///   all `SeqCst`, so they fall in one total order: caller reads `E`,
+    ///   caller reads the slot (missing the store), worker stores, worker
+    ///   re-reads `E`. A `SeqCst` load cannot return a value older than one
+    ///   an earlier `SeqCst` load of the same location returned, so the
+    ///   re-read sees at least the caller's `E`, and the refresh only exits
+    ///   once `e_w` equals it. Registration publishes its count with
+    ///   `SeqCst` too, so an id reported as unregistered behaves the same.
+    pub fn local_epoch_of(&self, id: usize) -> u64 {
+        if id >= self.registered.load(Ordering::SeqCst) {
+            return QUIESCENT;
+        }
+        let mut chunk = &*self.workers;
+        for _ in 0..id / REGISTRY_CHUNK {
+            match chunk.next.get() {
+                Some(next) => chunk = next,
+                None => return QUIESCENT,
+            }
+        }
+        match chunk.slots[id % REGISTRY_CHUNK].get() {
+            Some(slot) => slot.local_epoch.load(Ordering::SeqCst),
+            None => QUIESCENT,
+        }
+    }
+
+    /// Registers `listener` to run, on the advancing thread, after every
+    /// successful [`EpochManager::try_advance`]. The listener returns
+    /// `false` once it is obsolete (its owner is gone) and is then dropped.
+    /// Listeners must be short and must not advance the epoch themselves.
+    pub fn on_advance(&self, listener: impl Fn() -> bool + Send + Sync + 'static) {
+        self.listeners.0.lock().push(Box::new(listener));
     }
 
     /// Number of registered workers (including quiescent but not dropped ones).
@@ -271,6 +341,9 @@ impl EpochManager {
             e
         };
         self.refresh_snapshot_epoch(new_e);
+        if new_e != e {
+            self.listeners.0.lock().retain(|listener| listener());
+        }
         new_e
     }
 
@@ -359,7 +432,8 @@ pub struct WorkerEpochHandle {
 }
 
 impl WorkerEpochHandle {
-    /// The worker's registration index (diagnostics only).
+    /// The worker's registration index: unique per manager, dense from 0,
+    /// and the key of [`EpochManager::local_epoch_of`].
     pub fn id(&self) -> usize {
         self.id
     }
@@ -376,7 +450,9 @@ impl WorkerEpochHandle {
     /// "no non-quiescent workers", advances `E`, and only then sees our stale
     /// `e_w`: we re-check `E` after publishing and retry until the published
     /// value matches, so from that moment on the `E − e_w ≤ 1` invariant is
-    /// enforced by the advancer's own check.
+    /// enforced by the advancer's own check. The store and the re-check are
+    /// `SeqCst`, which also gives [`EpochManager::local_epoch_of`] its
+    /// guarantee for quiescent workers.
     ///
     /// Returns `(e_w, se_w)`.
     ///
@@ -604,6 +680,44 @@ mod tests {
         assert_eq!(se, m.global_snapshot_epoch());
         assert_eq!(w.local_epoch(), e);
         assert_eq!(w.local_snapshot_epoch(), se);
+    }
+
+    #[test]
+    fn local_epoch_of_follows_refresh_and_quiesce() {
+        let m = mgr();
+        assert_eq!(m.local_epoch_of(0), QUIESCENT, "unregistered id");
+        let w0 = m.register_worker();
+        let w1 = m.register_worker();
+        assert_eq!((w0.id(), w1.id()), (0, 1));
+        assert_eq!(m.local_epoch_of(1), QUIESCENT);
+        m.advance_n(2);
+        w1.refresh();
+        assert_eq!(m.local_epoch_of(1), 3);
+        assert_eq!(m.local_epoch_of(0), QUIESCENT);
+        w1.quiesce();
+        assert_eq!(m.local_epoch_of(1), QUIESCENT);
+        // Ids past the first registry chunk resolve too.
+        let rest: Vec<_> = (0..REGISTRY_CHUNK).map(|_| m.register_worker()).collect();
+        let last = rest.last().unwrap();
+        last.refresh();
+        assert_eq!(m.local_epoch_of(last.id()), m.global_epoch());
+        assert_eq!(m.local_epoch_of(last.id() + 1), QUIESCENT);
+    }
+
+    #[test]
+    fn advance_listeners_run_on_each_advance_until_they_retire() {
+        let m = mgr();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        m.on_advance(move || counter.fetch_add(1, Ordering::Relaxed) + 1 < 3);
+        let w = m.register_worker();
+        w.refresh();
+        m.advance_n(3); // one advance, then blocked by the worker at 1
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        w.quiesce();
+        m.advance_n(3); // two more calls; the third retires the listener
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        assert_eq!(m.global_epoch(), 5);
     }
 
     #[test]

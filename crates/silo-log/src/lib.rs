@@ -13,9 +13,15 @@
 //! * a small number of **logger threads**, each responsible for a disjoint
 //!   subset of the workers, coalesce the published buffers into a single
 //!   append + sync per group-commit round, compute a local durable epoch
-//!   `d_l = epoch(min ctid_w) − 1`, persist it, and publish it. Loggers are
-//!   event-driven: they block on their mailbox and are woken by the first
-//!   publish of a round (or by an epoch-tick timeout when idle);
+//!   `d_l`, persist it, and publish it. The paper's `d_l = epoch(min
+//!   ctid_w) − 1` is computed from the epoch system rather than from stale
+//!   `ctid_w`s: a worker with an unpublished buffer of epoch `b` bounds
+//!   `d_l ≤ b − 1`, a worker inside a transaction bounds it by its local
+//!   epoch, `e_w − 1`, and a quiescent worker only by `E − 1`. Loggers are
+//!   event-driven: they block on their mailbox and are woken by a publish or
+//!   by every global-epoch advance (an epoch-tick timeout is only a
+//!   fallback), so an idle system's writes of epoch `e` become durable right
+//!   after `E` moves to `e + 1`;
 //! * the global **durable epoch** `D = min d_l`. Transactions with epochs
 //!   `≤ D` are durable, and results are released to clients only then —
 //!   epoch-granularity group commit. Advancement is signalled through a
@@ -64,7 +70,7 @@ use std::time::Duration;
 
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
-use silo_core::{CommitHook, CommitWrites, Database, DurabilityHealth, Tid};
+use silo_core::{CommitHook, CommitWrites, Database, DurabilityHealth, Tid, QUIESCENT};
 
 use record::{encode_compressed_into, encode_epoch_marker, encode_txn_writes};
 
@@ -553,6 +559,16 @@ impl LoggerShared {
         inbox.cv.notify_one();
     }
 
+    /// Wakes every logger thread. The mailbox lock is taken around each
+    /// notify so the wake cannot land between a logger's wait check and its
+    /// park.
+    fn wake_loggers(&self) {
+        for inbox in &self.inboxes {
+            let _guard = lock(&inbox.queue);
+            inbox.cv.notify_all();
+        }
+    }
+
     /// The global durable epoch `D = min d_l` from the per-logger atomics.
     fn durable_epoch(&self) -> u64 {
         self.durable_epochs
@@ -653,10 +669,7 @@ impl SiloLogger {
                     // Unwind: stop the loggers already running before
                     // reporting the failure.
                     shared.stop.store(true, Ordering::Release);
-                    for inbox in &shared.inboxes {
-                        let _guard = lock(&inbox.queue);
-                        inbox.cv.notify_all();
-                    }
+                    shared.wake_loggers();
                     for h in handles {
                         let _ = h.join();
                     }
@@ -667,6 +680,19 @@ impl SiloLogger {
                 }
             }
         }
+
+        // Every epoch advance can move the durable bound, so it wakes the
+        // loggers at once instead of leaving them to the idle timer. The
+        // listener holds the shared state weakly and retires itself once
+        // the logger threads are gone.
+        let listener_shared = Arc::downgrade(&shared);
+        epochs.on_advance(move || match listener_shared.upgrade() {
+            Some(shared) if !shared.detached.load(Ordering::Acquire) => {
+                shared.wake_loggers();
+                true
+            }
+            _ => false,
+        });
 
         Ok(Arc::new(SiloLogger {
             shared,
@@ -844,10 +870,7 @@ impl SiloLogger {
         self.shared
             .truncate_epoch
             .fetch_max(ckpt_epoch, Ordering::AcqRel);
-        for inbox in &self.shared.inboxes {
-            let _guard = lock(&inbox.queue);
-            inbox.cv.notify_all();
-        }
+        self.shared.wake_loggers();
     }
 
     /// The in-memory log contents (only for [`LogDestination::Memory`]); one
@@ -860,12 +883,7 @@ impl SiloLogger {
     /// Worker buffers not yet published are lost (they were not durable).
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::Release);
-        for inbox in &self.shared.inboxes {
-            // Take the lock so the wake cannot land between a logger's
-            // empty-check and its park.
-            let _guard = lock(&inbox.queue);
-            inbox.cv.notify_all();
-        }
+        self.shared.wake_loggers();
         let mut handles = self.handles.lock();
         for h in handles.drain(..) {
             let _ = h.join();
@@ -893,6 +911,11 @@ impl SiloLogger {
 impl CommitHook for SiloLogger {
     fn on_commit(&self, worker_id: usize, tid: Tid, writes: &dyn CommitWrites) {
         assert!(worker_id < MAX_WORKERS, "worker id exceeds MAX_WORKERS");
+        // A read-only transaction modified nothing, so there is nothing to
+        // redo (§4.10 logs the modified records) and nothing to recover.
+        if writes.count() == 0 {
+            return;
+        }
         let shared = &self.shared;
         let state = &shared.workers[worker_id];
         let mut buffer = state.buffer.lock();
@@ -1104,14 +1127,17 @@ fn logger_loop(
     let num_loggers = shared.inboxes.len();
     let inbox = &shared.inboxes[logger_index];
     let my_durable = &shared.durable_epochs[logger_index];
-    // Idle loggers wake once per epoch tick: the durable epoch can only move
-    // when the global epoch does, so there is nothing to recompute sooner.
+    // The durable bound moves with the global epoch, and every advance wakes
+    // this logger (see `SiloLogger::new`). The tick timeout is only a
+    // fallback, e.g. for `EpochManager::advance_to`, which runs no listeners.
     let tick = epochs
         .config()
         .epoch_interval
         .max(Duration::from_micros(100));
     // Checkpoint epoch this logger last truncated its segments against.
     let mut last_truncated = 0u64;
+    // Global epoch the last durable bound was computed against.
+    let mut e_seen = 0u64;
 
     // Round-local reusable state: the drained mailbox swap partner, the
     // coalesced output for one group-commit round, and compression scratch.
@@ -1134,16 +1160,20 @@ fn logger_loop(
 
     loop {
         // Wait for work, event-driven: park on the mailbox until a worker
-        // publishes a buffer, the subsystem stops, or an epoch tick elapses
-        // (the timeout keeps the durable epoch advancing while idle). The
-        // mailbox is NOT drained yet: the durable bound must be computed
-        // first, so that every buffer the bound accounts for as "published"
-        // is drained into this very round — draining first would let a
-        // buffer slip in between drain and bound and be declared durable one
-        // round before it reaches the sink.
+        // publishes a buffer, the epoch advances, or the subsystem stops.
+        // `E` is checked under the mailbox lock, which the advance listener
+        // takes before notifying, so an advance cannot slip in between the
+        // check and the park. The mailbox is NOT drained yet: the durable
+        // bound must be computed first, so that every buffer the bound
+        // accounts for as "published" is drained into this very round —
+        // draining first would let a buffer slip in between drain and bound
+        // and be declared durable one round before it reaches the sink.
         {
             let queue = lock(&inbox.queue);
-            if queue.is_empty() && !shared.stop.load(Ordering::Acquire) {
+            if queue.is_empty()
+                && !shared.stop.load(Ordering::Acquire)
+                && epochs.global_epoch() == e_seen
+            {
                 drop(
                     inbox
                         .cv
@@ -1155,40 +1185,51 @@ fn logger_loop(
         let stopping = shared.stop.load(Ordering::Acquire);
 
         // Compute this logger's durable bound d over its *active* (not
-        // finished) workers. A worker constrains d only through data that is
-        // not yet on its way to the sink:
+        // finished) workers. A worker constrains d only through records that
+        // are not yet on their way to the sink, and a worker's commit epochs
+        // never decrease (each is read from `E` at commit):
         //
         // * A non-empty worker buffer holds unpublished records of exactly
-        //   one epoch `b` (buffers are published at epoch boundaries), so
-        //   that worker bounds d ≤ b − 1.
-        // * An empty buffer means everything the worker ever committed has
-        //   been published. Its only unpublished data is a commit still in
-        //   flight, whose epoch is ≥ E − 1 (the worker's local epoch pins
-        //   the global epoch within one step), so the worker bounds
-        //   d ≤ E − 2. Crucially this keeps advancing while the worker is
-        //   idle — or parked inside `wait_for_durable` for its own
-        //   transaction, which would deadlock if its stale ctid were the
-        //   bound.
+        //   one epoch `b` (buffers are published at epoch boundaries), and
+        //   the worker's later commits land in epochs ≥ b, so that worker
+        //   bounds d ≤ b − 1.
+        // * With an empty buffer, everything the worker committed is
+        //   published. A commit still in flight gets an epoch ≥ the worker's
+        //   local epoch `e_w`, so a worker inside a transaction bounds
+        //   d ≤ e_w − 1.
+        // * A quiescent (or not yet registered) worker must refresh before
+        //   it commits again, which makes its next commit's epoch ≥ the `E`
+        //   read here (see `EpochManager::local_epoch_of` for the ordering
+        //   argument), so it bounds d ≤ E − 1 — the bound every worker
+        //   shares, since a commit may still land in the current epoch `E`.
+        //
+        // `E` is read before the slots and each slot before its buffer state:
+        // a commit finishes (buffer, `pending_epoch`) before its worker
+        // refreshes or quiesces, so a slot value seen here comes with every
+        // commit made before it. An idle worker, or one parked inside
+        // `wait_for_durable` for its own transaction, is quiescent and so
+        // never holds d behind E − 1.
         //
         // Finished workers flushed all their buffers and will not commit
         // again, so they impose no bound at all.
         let e_now = epochs.global_epoch();
-        let mut min_bound: Option<u64> = None;
+        e_seen = e_now;
+        let mut local_durable = e_now.saturating_sub(1);
         for (wid, state) in shared.workers.iter().enumerate() {
-            if wid % num_loggers != logger_index {
+            if wid % num_loggers != logger_index || state.finished.load(Ordering::Acquire) {
                 continue;
             }
-            if state.finished.load(Ordering::Acquire) {
-                continue;
-            }
+            let e_w = epochs.local_epoch_of(wid);
             let mut pending = state.pending_epoch.load(Ordering::Acquire);
-            if pending != 0 && pending < e_now {
-                // The worker has a partial buffer from a *past* epoch. It
-                // only publishes on its next commit or on finish, so if it
-                // went idle (or parked in `wait_for_durable`), that buffer
-                // would hold the durable epoch back forever. Steal-publish it
-                // here; commits only ever append complete records, so the
-                // buffer is always safe to ship.
+            if pending != 0 && pending < e_now && (e_w == QUIESCENT || e_w > pending) {
+                // A partial buffer from a past epoch that its worker is done
+                // with: the worker is quiescent or already in a later epoch.
+                // It only publishes on its next commit or on finish, so an
+                // idle worker would hold the durable epoch back; steal-publish
+                // the buffer here instead. Commits only ever append complete
+                // records, so the buffer is always safe to ship. A worker
+                // still in the buffer's epoch keeps it: its own bound is no
+                // higher, and its next commit publishes.
                 let mut buffer = state.buffer.lock();
                 let buffer_epoch = state.buffer_epoch.load(Ordering::Relaxed);
                 if !buffer.is_empty() && buffer_epoch < e_now {
@@ -1202,35 +1243,15 @@ fn logger_loop(
                 drop(buffer);
                 pending = state.pending_epoch.load(Ordering::Acquire);
             }
-            let ctid = state.ctid.load(Ordering::Acquire);
-            if pending == 0 && ctid == 0 {
-                // Untouched worker slot (never committed): imposes no bound.
-                // (A first commit that is in flight right now can land in
-                // epoch E − 1; the `None` fallback below can declare E − 1
-                // durable a round early in that window. This matches the
-                // paper's accounting, which also only sees published state.)
-                continue;
-            }
             let bound = if pending != 0 {
-                pending.saturating_sub(1)
+                pending - 1
+            } else if e_w != QUIESCENT {
+                e_w.saturating_sub(1)
             } else {
-                e_now.saturating_sub(2)
+                continue;
             };
-            min_bound = Some(match min_bound {
-                Some(m) => m.min(bound),
-                None => bound,
-            });
+            local_durable = local_durable.min(bound);
         }
-        let local_durable = match min_bound {
-            Some(bound) => bound,
-            // Every worker routed to this logger has finished: all their
-            // commits are published. A worker that registers later can still
-            // commit in the *current* epoch, so only epochs strictly before
-            // it may be declared durable — never `e_now` itself, even when a
-            // finished worker's last commit lies there (that commit is on
-            // disk, but a new unpublished commit could share its epoch).
-            None => e_now.saturating_sub(1),
-        };
 
         // Drain the mailbox *after* the bound: every buffer the bound
         // counted as published (including this round's steals, which went

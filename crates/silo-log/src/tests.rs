@@ -5,11 +5,22 @@ use silo_core::SiloConfig;
 use std::sync::Arc;
 
 fn logged_db(log_config: LogConfig) -> (Arc<Database>, Arc<SiloLogger>) {
+    open_logged(true, Duration::from_millis(2), log_config)
+}
+
+/// A logged database whose epoch ticks every `epoch_interval`: on an
+/// advancer thread when `spawn_advancer` is set, else only when a test calls
+/// `advance_n`. The interval is also the loggers' idle timer.
+fn open_logged(
+    spawn_advancer: bool,
+    epoch_interval: Duration,
+    log_config: LogConfig,
+) -> (Arc<Database>, Arc<SiloLogger>) {
     let db = Database::open(
         SiloConfig::for_testing()
-            .with_spawn_epoch_advancer(true)
+            .with_spawn_epoch_advancer(spawn_advancer)
             .with_epoch(silo_core::EpochConfig {
-                epoch_interval: Duration::from_millis(2),
+                epoch_interval,
                 snapshot_interval_epochs: 5,
             }),
     );
@@ -310,7 +321,7 @@ fn compressed_logs_shrink_and_recover_identically() {
 fn idle_worker_partial_buffer_is_stolen_and_becomes_durable() {
     // A worker commits once (a partial buffer, far below the watermark) and
     // then goes idle without finishing. The event-driven logger must
-    // steal-publish the stale buffer on an epoch tick — otherwise the
+    // steal-publish the stale buffer once the epoch advances — otherwise the
     // durable epoch would be stuck behind the idle worker forever.
     let (db, logger) = logged_db(LogConfig {
         buffer_capacity: 1024 * 1024,
@@ -338,6 +349,223 @@ fn idle_worker_partial_buffer_is_stolen_and_becomes_durable() {
     let state = recovery::scan_streams(&logger.memory_logs()).unwrap();
     assert!(state.latest.contains_key(&(t, b"lonely".to_vec())));
     db.stop_epoch_advancer();
+}
+
+#[test]
+fn a_quiescent_workers_commit_is_durable_after_one_advance() {
+    let (db, logger) = open_logged(false, Duration::from_millis(1), LogConfig::in_memory(1));
+    let t = db.create_table("t").unwrap();
+    let mut w = db.register_worker();
+    let mut txn = w.begin();
+    txn.write(t, b"k", b"v").unwrap();
+    let tid = txn.commit().unwrap();
+    w.quiesce();
+    // The commit's epoch is still the open epoch `E`: the loggers run many
+    // rounds on their 1 ms timer, and none may declare it durable.
+    std::thread::sleep(Duration::from_millis(30));
+    assert!(logger.durable_epoch() < tid.epoch());
+    // One advance closes the epoch; a quiescent worker's next commit lands
+    // in the new one, so nothing else holds the commit back.
+    assert_eq!(db.epochs().advance_n(1), tid.epoch() + 1);
+    assert!(
+        logger
+            .wait_for_durable(tid.epoch(), Duration::from_secs(5))
+            .is_durable(),
+        "epoch {} not durable after one advance (durable epoch {})",
+        tid.epoch(),
+        logger.durable_epoch()
+    );
+    assert_eq!(
+        db.epochs().global_epoch(),
+        tid.epoch() + 1,
+        "no second advance"
+    );
+    let state = recovery::scan_streams(&logger.memory_logs()).unwrap();
+    assert_eq!(
+        state.latest.get(&(t, b"k".to_vec())).map(|(tid, _)| *tid),
+        Some(tid)
+    );
+}
+
+#[test]
+fn a_worker_inside_a_transaction_bounds_the_durable_epoch_by_its_local_epoch() {
+    let (db, logger) = open_logged(
+        false,
+        Duration::from_millis(1),
+        LogConfig {
+            buffer_capacity: 1024 * 1024,
+            ..LogConfig::in_memory(1)
+        },
+    );
+    let epochs = Arc::clone(db.epochs());
+    let t = db.create_table("t").unwrap();
+    let mut w = db.register_worker();
+    let id = w.id();
+    let mut txn = w.begin();
+    txn.write(t, b"first", b"v").unwrap();
+    let first = txn.commit().unwrap();
+    let e = first.epoch();
+    epochs.advance_n(1);
+    // Pin the worker inside a transaction at e_w = e + 1. Its partial buffer
+    // of epoch e is now in the past, so the logger steals it.
+    let mut pinned = w.begin();
+    assert_eq!(epochs.local_epoch_of(id), e + 1);
+    assert!(logger
+        .wait_for_durable(e, Duration::from_secs(5))
+        .is_durable());
+    assert!(logger.stats().steal_publishes >= 1);
+    // The global epoch may move one step past the pinned worker, but the
+    // worker's in-flight commit can still land in e + 1: the durable epoch
+    // must stay at e_w − 1 however many rounds the loggers run.
+    assert_eq!(epochs.advance_n(5), e + 2);
+    std::thread::sleep(Duration::from_millis(30));
+    assert_eq!(logger.durable_epoch(), e);
+    pinned.write(t, b"second", b"v").unwrap();
+    let second = pinned.commit().unwrap();
+    w.quiesce();
+    epochs.advance_n(1);
+    assert!(logger
+        .wait_for_durable(second.epoch(), Duration::from_secs(5))
+        .is_durable());
+    let state = recovery::scan_streams(&logger.memory_logs()).unwrap();
+    for (key, tid) in [(&b"first"[..], first), (&b"second"[..], second)] {
+        assert_eq!(
+            state.latest.get(&(t, key.to_vec())).map(|(tid, _)| *tid),
+            Some(tid)
+        );
+    }
+}
+
+#[test]
+fn an_epoch_advance_wakes_the_logger_before_its_idle_timer() {
+    // A 10 s idle timer cannot fire within the test, so only the advance
+    // listener can wake the logger.
+    let (db, logger) = open_logged(false, Duration::from_secs(10), LogConfig::in_memory(1));
+    let t = db.create_table("t").unwrap();
+    let mut w = db.register_worker();
+    let mut txn = w.begin();
+    txn.write(t, b"k", b"v").unwrap();
+    let tid = txn.commit().unwrap();
+    w.quiesce();
+    // Let the logger finish its start-up round and park.
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(logger.durable_epoch() < tid.epoch());
+    db.epochs().advance_n(1);
+    assert!(
+        logger
+            .wait_for_durable(tid.epoch(), Duration::from_secs(2))
+            .is_durable(),
+        "the advance did not wake the logger (durable epoch {})",
+        logger.durable_epoch()
+    );
+}
+
+#[test]
+fn released_commits_are_always_on_the_log() {
+    // The §4.10 release rule, black-box: once `wait_for_durable` says a
+    // commit's epoch is durable, recovery from the log as it stands must
+    // already hold the commit. Workers randomly interleave writes, aborts,
+    // read-only transactions, transactions held open across epoch
+    // boundaries, workers lingering after a commit and quiescent spells
+    // against a 1 ms advancer, so a durable bound that runs ahead of the log
+    // shows up as a missing record.
+    let (db, logger) = open_logged(
+        true,
+        Duration::from_millis(1),
+        LogConfig {
+            buffer_capacity: 512,
+            ..LogConfig::in_memory(2)
+        },
+    );
+    let t = db.create_table("t").unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    let handles: Vec<_> = (0..3u64)
+        .map(|thread| {
+            let (db, logger) = (Arc::clone(&db), Arc::clone(&logger));
+            std::thread::spawn(move || release_rule_worker(thread, &db, &logger, t, deadline))
+        })
+        .collect();
+    let checked: u64 = handles
+        .into_iter()
+        .map(|h| h.join().expect("release-rule worker panicked"))
+        .sum();
+    assert!(checked > 0);
+    logger.shutdown();
+    db.stop_epoch_advancer();
+}
+
+/// One worker of `released_commits_are_always_on_the_log`; returns how many
+/// released commits it checked against the log.
+fn release_rule_worker(
+    thread: u64,
+    db: &Arc<Database>,
+    logger: &SiloLogger,
+    t: silo_core::TableId,
+    deadline: std::time::Instant,
+) -> u64 {
+    let mut w = db.register_worker();
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ (thread + 1);
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let mut checks = 0;
+    let mut seq = 0u64;
+    while std::time::Instant::now() < deadline && checks < 60 {
+        match next() % 8 {
+            0..=4 => {
+                seq += 1;
+                let keys: Vec<Vec<u8>> = (0..1 + next() % 3)
+                    .map(|j| format!("w{thread}-{seq}-{j}").into_bytes())
+                    .collect();
+                let value = seq.to_le_bytes();
+                let abort = next() % 4 == 0;
+                let hold = next() % 8 == 0;
+                let mut txn = w.begin();
+                if keys.iter().any(|k| txn.write(t, k, &value).is_err()) || abort {
+                    continue; // dropping the transaction aborts it
+                }
+                if hold {
+                    // Keep the commit in flight across a tick.
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                let Ok(tid) = txn.commit() else { continue };
+                match next() % 4 {
+                    0 | 1 => continue,
+                    // Linger in the commit's epoch past a tick before
+                    // quiescing: the partial buffer stays unpublished while
+                    // `E` moves on.
+                    2 => std::thread::sleep(Duration::from_millis(2)),
+                    _ => {}
+                }
+                w.quiesce();
+                let wait = logger.wait_for_durable(tid.epoch(), Duration::from_secs(5));
+                assert!(wait.is_durable(), "{tid:?} never durable: {wait:?}");
+                let state = recovery::scan_streams(&logger.memory_logs()).unwrap();
+                for key in &keys {
+                    assert_eq!(
+                        state.latest.get(&(t, key.clone())),
+                        Some(&(tid, Some(value.to_vec()))),
+                        "released {tid:?} missing (log durable to {})",
+                        state.durable_epoch
+                    );
+                }
+                checks += 1;
+            }
+            5 => {
+                let mut txn = w.begin();
+                let _ = txn.read(t, b"w0-1-0");
+                let _ = txn.commit();
+            }
+            _ => {
+                w.quiesce();
+                std::thread::yield_now();
+            }
+        }
+    }
+    checks
 }
 
 #[test]
@@ -402,12 +630,12 @@ fn pool_survives_finish_steal_and_shutdown_races() {
                     let key = format!("t{thread}g{generation}k{}", i % 17);
                     let value = vec![b'v'; 64];
                     // OCC aborts (e.g. node-set validation when a concurrent
-                    // insert splits a shared leaf) are legitimate under this
-                    // storm; the one-shot model simply re-executes.
+                    // insert splits a shared leaf), at the write or at
+                    // commit, are legitimate under this storm; the one-shot
+                    // model simply re-executes.
                     loop {
                         let mut txn = w.begin();
-                        txn.write(t, key.as_bytes(), &value).unwrap();
-                        if txn.commit().is_ok() {
+                        if txn.write(t, key.as_bytes(), &value).is_ok() && txn.commit().is_ok() {
                             break;
                         }
                     }

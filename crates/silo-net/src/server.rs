@@ -33,6 +33,15 @@
 //! the ack is rewritten into a typed [`ErrorCode::DurabilityDegraded`] frame
 //! rather than sent as a false positive.
 //!
+//! The wait is short and in phase with the epoch. Each global-epoch advance
+//! wakes the loggers, and a server worker is quiescent while it parks
+//! between batches, so a write committed in epoch `e` is durable one logger
+//! round (one `fsync`) after the epoch moves to `e + 1`. A write therefore
+//! waits between the round alone and one epoch interval plus the round,
+//! half an interval plus the round on average. On a 2-core loopback run with
+//! 10 ms epochs, 2 connections and 32 requests in flight each, acks have a
+//! median of about 10 ms at about 6.4k req/s.
+//!
 //! # Load shedding
 //!
 //! * **Backlog** — when a worker's inbox is over

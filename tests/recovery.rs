@@ -27,11 +27,13 @@ fn concurrent_commits_survive_crash_and_recovery() {
             for i in 0..200u32 {
                 let key = format!("t{thread}-entry{i:04}");
                 // Retry on aborts (concurrent inserts into the same index leaf
-                // can fail node-set validation; the one-shot model simply
-                // re-executes the request).
+                // can fail node-set validation, at the write or at commit;
+                // the one-shot model simply re-executes the request).
                 loop {
                     let mut txn = w.begin();
-                    txn.write(t, key.as_bytes(), &i.to_be_bytes()).unwrap();
+                    if txn.write(t, key.as_bytes(), &i.to_be_bytes()).is_err() {
+                        continue;
+                    }
                     if let Ok(tid) = txn.commit() {
                         committed.push((key, tid));
                         break;
