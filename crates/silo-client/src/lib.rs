@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use silo_net::fault::{FaultStream, NetFaultPlan};
+use silo_net::fault::{xorshift, FaultStream, NetFaultPlan};
 use silo_net::protocol::{
     self, FrameError, Request, Response, TxnOp, DEFAULT_MAX_FRAME_BYTES, FEATURE_REQUEST_TOKENS,
     PROTOCOL_VERSION,
@@ -897,13 +897,8 @@ impl Session {
     fn sleep_backoff(&mut self, backoff: &mut Duration, policy: &RetryPolicy) {
         let mut sleep = *backoff;
         if policy.jitter {
-            // xorshift64*: jitter within [backoff/2, backoff].
-            let mut x = self.rng;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.rng = x;
-            let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            // Jitter within [backoff/2, backoff].
+            let r = xorshift(&mut self.rng);
             let half = sleep / 2;
             let span_micros = half.as_micros().max(1) as u64;
             sleep = half + Duration::from_micros(r % span_micros);

@@ -12,10 +12,10 @@
 //!   absent — with the version observed at the time (§4.6, phantom
 //!   protection).
 //!
-//! All of that state lives in a [`TxnContext`] owned by the [`Worker`] and
+//! All of that state lives in a `TxnContext` owned by the [`Worker`] and
 //! *reused* across transactions: `begin` hands the context to the new
 //! transaction, commit/abort clear it (retaining capacity) and hand it back.
-//! Write-set keys and values are copied into the context's bump [`Arena`]
+//! Write-set keys and values are copied into the context's bump `Arena`
 //! rather than individually heap-allocated. Together with the worker's record
 //! pool this makes the steady-state hot path allocation-free, which is the
 //! point of the paper's per-core memory pools (§4.8).

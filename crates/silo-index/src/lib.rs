@@ -609,7 +609,7 @@ impl Tree {
     /// modify (adding an entry, or converting a suffix entry into a layer).
     ///
     /// This is the one point operation that keeps its own descent loop
-    /// instead of delegating to [`Tree::locate`] (which `try_replace` and
+    /// instead of delegating to `Tree::locate` (which `try_replace` and
     /// `remove` share): reads are the throughput-critical path, and keeping
     /// the value load inside the retry loop — rather than round-tripping
     /// through a `Located` — measured faster and lets the loop return as
@@ -1499,7 +1499,7 @@ impl Tree {
     }
 
     /// Atomically replaces the value associated with `key`, returning
-    /// whether the key was present. See [`Tree::try_replace`] for the
+    /// whether the key was present. See `Tree::try_replace` for the
     /// version-stability guarantee.
     pub fn update_value(&self, key: &[u8], value: u64) -> bool {
         self.try_replace(key, value).is_some()

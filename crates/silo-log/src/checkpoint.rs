@@ -26,8 +26,8 @@
 //! (recovery starts from an empty database). Readers verify every frame's
 //! CRC-32 before parsing it, so a flipped bit in a slice is a typed error —
 //! and recovery then falls back to the previous complete checkpoint — rather
-//! than silently corrupt state. Slices without the magic (written by older
-//! builds, manifest version `v1`) are read as a bare record stream.
+//! than silently corrupt state. A slice without the magic is rejected the
+//! same way.
 //!
 //! # Protocol
 //!
@@ -51,24 +51,17 @@ use std::time::{Duration, Instant};
 
 use silo_core::{Database, Tid};
 
-use crate::fault::{FaultPlan, FaultSite, InjectedCrash};
+use crate::fault::{crash_point, FaultPlan, FaultSite};
 use crate::{lock, SiloLogger};
 
 /// Name of the per-checkpoint completeness marker / metadata file.
 const MANIFEST: &str = "MANIFEST";
 /// Subdirectory of the durability root holding checkpoints.
 const CHECKPOINT_DIR: &str = "checkpoints";
-/// Leading magic of a CRC-framed (v2) checkpoint slice.
-const SLICE_MAGIC: &[u8; 8] = b"SILOSLC2";
+/// Leading magic of a checkpoint slice.
+pub(crate) const SLICE_MAGIC: &[u8; 8] = b"SILOSLC2";
 /// Target payload size of one CRC frame (flushed at record boundaries).
 const SLICE_FRAME: usize = 64 * 1024;
-
-/// An `io::Error` carrying an injected checkpoint crash, so `run_once` can
-/// abort *without cleanup* — simulating `kill -9` at a protocol-critical
-/// instant.
-fn injected_crash(site: FaultSite) -> std::io::Error {
-    std::io::Error::other(InjectedCrash(site))
-}
 
 /// Checkpointer configuration.
 #[derive(Debug, Clone)]
@@ -341,6 +334,7 @@ fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
         0 => None,
         rate => Some(silo_core::WalkPacer::new(rate)),
     };
+    let fault = shared.config.fault.as_ref();
     let mut slices: Vec<(u64, u64)> = Vec::with_capacity(writers); // (bytes, records)
     let results: Vec<std::io::Result<(u64, u64)>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(writers);
@@ -350,7 +344,6 @@ fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
             let next_table = &next_table;
             let pacer = pacer.as_ref();
             let path = slice_path(&dir, w);
-            let fault = shared.config.fault.as_ref();
             handles.push(scope.spawn(move || -> std::io::Result<(u64, u64)> {
                 let file = std::fs::File::create(&path)?;
                 let mut out = BufWriter::new(file);
@@ -363,11 +356,7 @@ fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
                 loop {
                     let i = next_table.fetch_add(1, Ordering::Relaxed);
                     let Some(&table) = tables.get(i) else { break };
-                    if let Some(plan) = fault {
-                        if plan.crash_at(FaultSite::CkptSlice) {
-                            return Err(injected_crash(FaultSite::CkptSlice));
-                        }
-                    }
+                    crash_point(fault, FaultSite::CkptSlice)?;
                     let mut snap = worker.begin_snapshot_at(ce);
                     let mut io_err: Option<std::io::Error> = None;
                     records += snap.scan_versions_paced(table, chunk, pacer, |key, tid, value| {
@@ -445,11 +434,7 @@ fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
         return Ok(None);
     }
 
-    if let Some(plan) = &shared.config.fault {
-        if plan.crash_at(FaultSite::CkptBeforeManifest) {
-            return Err(injected_crash(FaultSite::CkptBeforeManifest));
-        }
-    }
+    crash_point(fault, FaultSite::CkptBeforeManifest)?;
 
     // Manifest written via temp file + rename: its presence is the atomic
     // "checkpoint complete" bit.
@@ -468,20 +453,12 @@ fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
         f.sync_data()?;
     }
     std::fs::rename(&tmp, dir.join(MANIFEST))?;
-    if let Some(plan) = &shared.config.fault {
-        if plan.crash_at(FaultSite::CkptAfterManifest) {
-            return Err(injected_crash(FaultSite::CkptAfterManifest));
-        }
-    }
+    crash_point(fault, FaultSite::CkptAfterManifest)?;
     if let Ok(d) = std::fs::File::open(&dir) {
         let _ = d.sync_all();
     }
 
-    if let Some(plan) = &shared.config.fault {
-        if plan.crash_at(FaultSite::CkptBeforeTruncate) {
-            return Err(injected_crash(FaultSite::CkptBeforeTruncate));
-        }
-    }
+    crash_point(fault, FaultSite::CkptBeforeTruncate)?;
 
     // The checkpoint is durable: logs covering epochs ≤ ce are redundant.
     shared.logger.truncate_logs(ce);
@@ -558,9 +535,7 @@ impl CheckpointInfo {
 fn read_manifest(dir: &Path) -> Option<CheckpointInfo> {
     let text = std::fs::read_to_string(dir.join(MANIFEST)).ok()?;
     let mut lines = text.lines();
-    // v1 slices are bare record streams, v2 slices are CRC-framed; the
-    // reader distinguishes them by the slice magic, so both load.
-    if !matches!(lines.next()?, "silo-checkpoint v1" | "silo-checkpoint v2") {
+    if lines.next()? != "silo-checkpoint v2" {
         return None;
     }
     let epoch: u64 = lines.next()?.strip_prefix("epoch ")?.parse().ok()?;
@@ -622,10 +597,10 @@ pub fn latest_checkpoint(root: &Path) -> Option<CheckpointInfo> {
 }
 
 /// Reads every slice of `info` end to end without applying anything: each
-/// CRC frame of a v2 slice must checksum correctly and every record must
-/// parse. A corrupt slice surfaces as the underlying typed error, letting
-/// recovery report it and fall back to an older checkpoint instead of
-/// loading silently-corrupted state.
+/// slice must open with the magic, each CRC frame must checksum correctly
+/// and every record must parse. A corrupt slice surfaces as the underlying
+/// typed error, letting recovery report it and fall back to an older
+/// checkpoint instead of loading silently-corrupted state.
 pub fn verify_checkpoint(info: &CheckpointInfo) -> std::io::Result<()> {
     for (path, _, _) in &info.slices {
         let file = std::fs::File::open(path)?;
@@ -645,55 +620,47 @@ pub(crate) struct SliceRecord {
 
 /// Writes one CRC frame `len u32 | crc32 u32 | payload`, returning the bytes
 /// it added to the slice.
-fn write_frame(out: &mut impl Write, payload: &[u8]) -> std::io::Result<u64> {
+pub(crate) fn write_frame(out: &mut impl Write, payload: &[u8]) -> std::io::Result<u64> {
     out.write_all(&(payload.len() as u32).to_le_bytes())?;
     out.write_all(&crate::record::crc32(payload).to_le_bytes())?;
     out.write_all(payload)?;
     Ok(8 + payload.len() as u64)
 }
 
-/// Streams the records of one checkpoint slice — CRC-framed (v2, `SILOSLC2`
-/// magic) or a bare record stream (v1). Unlike log streams, slices were
-/// fsynced before the manifest was written, so any malformation — truncation,
-/// a failed frame checksum, a record spanning frames — is a hard error rather
-/// than a tolerated torn tail.
+/// Streams the records of one CRC-framed checkpoint slice. Unlike log
+/// streams, slices were fsynced before the manifest was written, so any
+/// malformation — a missing magic, truncation, a failed frame checksum, a
+/// record spanning frames — is a hard error rather than a tolerated torn
+/// tail.
 pub(crate) struct SliceReader<R> {
     reader: R,
-    /// Whether the slice opened with the v2 magic.
-    framed: bool,
-    /// v2: the current checksum-verified frame; v1: the probed lead bytes.
+    /// The current checksum-verified frame.
     buf: Vec<u8>,
     pos: usize,
 }
 
 impl<R: Read> SliceReader<R> {
-    /// Probes the slice's leading magic to pick the v1 or v2 format.
+    /// Checks the slice's leading magic.
     pub(crate) fn new(mut reader: R) -> std::io::Result<Self> {
-        let mut lead = [0u8; 8];
-        let mut filled = 0;
-        while filled < lead.len() {
-            match reader.read(&mut lead[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+        let mut magic = [0u8; SLICE_MAGIC.len()];
+        match reader.read_exact(&mut magic) {
+            Ok(()) if &magic == SLICE_MAGIC => {}
+            Err(e) if e.kind() != std::io::ErrorKind::UnexpectedEof => return Err(e),
+            _ => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "checkpoint slice lacks the SILOSLC2 magic",
+                ))
             }
         }
-        let framed = filled == lead.len() && &lead == SLICE_MAGIC;
-        let buf = if framed {
-            Vec::new()
-        } else {
-            lead[..filled].to_vec()
-        };
         Ok(SliceReader {
             reader,
-            framed,
-            buf,
+            buf: Vec::new(),
             pos: 0,
         })
     }
 
-    /// Loads and checksum-verifies the next v2 frame. `Ok(false)` at clean
+    /// Loads and checksum-verifies the next frame. `Ok(false)` at clean
     /// end of slice.
     fn next_frame(&mut self) -> std::io::Result<bool> {
         let mut head = [0u8; 8];
@@ -720,50 +687,26 @@ impl<R: Read> SliceReader<R> {
         if out.is_empty() {
             return Ok(true);
         }
-        if self.framed {
-            while self.pos == self.buf.len() {
-                if !self.next_frame()? {
-                    if at_boundary {
-                        return Ok(false);
-                    }
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "checkpoint slice truncated mid-record",
-                    ));
+        while self.pos == self.buf.len() {
+            if !self.next_frame()? {
+                if at_boundary {
+                    return Ok(false);
                 }
-            }
-            let end = self.pos + out.len();
-            let Some(chunk) = self.buf.get(self.pos..end) else {
                 return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "checkpoint slice record spans CRC frames",
+                    std::io::ErrorKind::UnexpectedEof,
+                    "checkpoint slice truncated mid-record",
                 ));
-            };
-            out.copy_from_slice(chunk);
-            self.pos = end;
-            return Ok(true);
-        }
-        // v1: drain the probed lead bytes, then read straight from the file.
-        let mut filled = 0;
-        while filled < out.len() && self.pos < self.buf.len() {
-            out[filled] = self.buf[self.pos];
-            filled += 1;
-            self.pos += 1;
-        }
-        while filled < out.len() {
-            match self.reader.read(&mut out[filled..]) {
-                Ok(0) if filled == 0 && at_boundary => return Ok(false),
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "checkpoint slice truncated mid-record",
-                    ))
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
             }
         }
+        let end = self.pos + out.len();
+        let Some(chunk) = self.buf.get(self.pos..end) else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "checkpoint slice record spans CRC frames",
+            ));
+        };
+        out.copy_from_slice(chunk);
+        self.pos = end;
         Ok(true)
     }
 
@@ -890,23 +833,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let dir = checkpoint_dir(&root, 42);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(slice_path(&dir, 0), b"0123456789").unwrap();
+        let mut slice = SLICE_MAGIC.to_vec();
+        let payload: Vec<u8> = (0..3u8)
+            .flat_map(|k| slice_record(1, &[k], 7, b"v"))
+            .collect();
+        write_frame(&mut slice, &payload).unwrap();
+        std::fs::write(slice_path(&dir, 0), &slice).unwrap();
         assert!(
             latest_checkpoint(&root).is_none(),
             "no manifest means no checkpoint"
         );
         std::fs::write(
             dir.join(MANIFEST),
-            "silo-checkpoint v1\nepoch 42\nslices 1\nslice 0 10 3\nend\n",
+            format!(
+                "silo-checkpoint v2\nepoch 42\nslices 1\nslice 0 {} 3\nend\n",
+                slice.len()
+            ),
         )
         .unwrap();
         let info = latest_checkpoint(&root).expect("complete checkpoint");
         assert_eq!(info.epoch, 42);
-        assert_eq!(info.bytes(), 10);
+        assert_eq!(info.bytes(), slice.len() as u64);
         assert_eq!(info.records(), 3);
 
         // A slice shorter than the manifest claims invalidates the checkpoint.
-        std::fs::write(slice_path(&dir, 0), b"0123").unwrap();
+        std::fs::write(slice_path(&dir, 0), &slice[..slice.len() - 4]).unwrap();
         assert!(latest_checkpoint(&root).is_none());
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -920,7 +871,7 @@ mod tests {
             std::fs::create_dir_all(&dir).unwrap();
             std::fs::write(
                 dir.join(MANIFEST),
-                format!("silo-checkpoint v1\nepoch {epoch}\nslices 0\nend\n"),
+                format!("silo-checkpoint v2\nepoch {epoch}\nslices 0\nend\n"),
             )
             .unwrap();
         }
@@ -984,14 +935,56 @@ mod tests {
     }
 
     #[test]
-    fn unframed_v1_slice_still_reads() {
-        // A slice written by an older build: bare records, no magic.
-        let mut slice = Vec::new();
-        slice.extend_from_slice(&slice_record(3, b"k", 9, b"v"));
-        let mut reader = SliceReader::new(std::io::Cursor::new(slice)).unwrap();
-        let rec = reader.next_record().unwrap().expect("v1 record");
-        assert_eq!((rec.table, rec.tid.raw()), (3, 9));
-        assert!(reader.next_record().unwrap().is_none());
+    fn magic_less_slices_and_v1_manifests_are_skipped_by_recovery() {
+        // A bare record stream without the magic, as older builds wrote.
+        let bare = slice_record(0, b"k", silo_core::Tid::new(5, 1).raw(), b"bare");
+        for slice in [bare.clone(), Vec::new(), b"SILO".to_vec()] {
+            let err = SliceReader::new(std::io::Cursor::new(slice))
+                .err()
+                .expect("a slice without the magic is rejected");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
+
+        let root = std::env::temp_dir().join(format!("silo-ckpt-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let write_ckpt = |epoch: u64, version: &str, slice: &[u8]| {
+            let dir = checkpoint_dir(&root, epoch);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(slice_path(&dir, 0), slice).unwrap();
+            std::fs::write(
+                dir.join(MANIFEST),
+                format!(
+                    "silo-checkpoint {version}\nepoch {epoch}\nslices 1\nslice 0 {} 1\nend\n",
+                    slice.len()
+                ),
+            )
+            .unwrap();
+        };
+        let mut good = SLICE_MAGIC.to_vec();
+        let good_tid = silo_core::Tid::new(3, 1).raw();
+        write_frame(&mut good, &slice_record(0, b"k", good_tid, b"good")).unwrap();
+        write_ckpt(3, "v2", &good);
+        // A v2 manifest over a magic-less slice fails verification ...
+        write_ckpt(5, "v2", &bare);
+        // ... and a v1 manifest does not even make a complete checkpoint.
+        write_ckpt(7, "v1", &bare);
+        let epochs: Vec<u64> = complete_checkpoints(&root)
+            .iter()
+            .map(|c| c.epoch)
+            .collect();
+        assert_eq!(epochs, vec![5, 3]);
+
+        let db = Database::open(silo_core::SiloConfig::for_testing());
+        db.create_table("t").unwrap();
+        let report =
+            crate::recover_directory(&db, &root, &crate::RecoveryOptions::default()).unwrap();
+        assert_eq!(report.checkpoints_skipped, 1);
+        assert_eq!(report.checkpoint_epoch, 3);
+        let mut w = db.register_worker();
+        let mut txn = w.begin();
+        assert_eq!(txn.read(0, b"k").unwrap(), Some(b"good".to_vec()));
+        txn.commit().unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -96,7 +96,8 @@ pub enum LogMode {
 /// Where log bytes go.
 #[derive(Debug, Clone)]
 pub enum LogDestination {
-    /// One file per logger under this directory (`silo-log-<i>.bin`).
+    /// Segmented log files per logger under this directory
+    /// (`silo-log-<i>-seg<seq>.bin`).
     Directory(PathBuf),
     /// Keep log bytes in memory — the stand-in for the paper's `Silo+tmpfs`
     /// configuration, isolating logging-subsystem overhead from device

@@ -23,7 +23,7 @@ use std::time::Instant;
 use silo_core::{Database, TableId, Tid};
 
 use crate::record::{Block, DecodeError, StreamDecoder};
-use crate::sink::{parse_legacy_name, parse_segment_name};
+use crate::sink::parse_segment_name;
 
 /// The state reconstructed from a set of log streams before it is applied.
 #[derive(Debug, Default)]
@@ -178,8 +178,8 @@ pub fn scan_streams(streams: &[Vec<u8>]) -> Result<RecoveredState, RecoveryError
 }
 
 /// The log files under `dir`, grouped into one logical stream per logger:
-/// segments in sequence order, preceded by the legacy single file when one
-/// exists. Returned as `(logger_index, paths)` sorted by logger.
+/// segments in sequence order. Returned as `(logger_index, paths)` sorted by
+/// logger.
 fn log_streams(dir: &Path) -> Result<Vec<(usize, Vec<PathBuf>)>, std::io::Error> {
     let mut by_logger: HashMap<usize, Vec<(u64, PathBuf)>> = HashMap::new();
     for entry in std::fs::read_dir(dir)? {
@@ -187,13 +187,10 @@ fn log_streams(dir: &Path) -> Result<Vec<(usize, Vec<PathBuf>)>, std::io::Error>
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         if let Some((logger, seq)) = parse_segment_name(name) {
-            // Sequence numbers start at 0; the legacy file sorts before them.
             by_logger
                 .entry(logger)
                 .or_default()
-                .push((seq + 1, entry.path()));
-        } else if let Some(logger) = parse_legacy_name(name) {
-            by_logger.entry(logger).or_default().push((0, entry.path()));
+                .push((seq, entry.path()));
         }
     }
     let mut streams: Vec<(usize, Vec<PathBuf>)> = by_logger
@@ -243,9 +240,8 @@ impl std::io::Read for ChainedFiles {
 
 /// Reads the log files under `dir` (as written by
 /// [`crate::LogDestination::Directory`]) and builds the recovered state,
-/// streaming each file instead of loading it whole. Segmented and legacy
-/// single-file layouts are both understood; a logger's segments form one
-/// logical stream.
+/// streaming each file instead of loading it whole. A logger's segments form
+/// one logical stream.
 pub fn scan_directory(dir: &Path) -> Result<RecoveredState, RecoveryError> {
     let streams = log_streams(dir)?;
     let mut corrupt_tails = 0u64;
@@ -804,7 +800,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("silo-log-0-seg000000.bin"), b"").unwrap();
-        std::fs::write(dir.join("silo-log-1.bin"), b"").unwrap(); // legacy name
+        std::fs::write(dir.join("silo-log-1-seg000003.bin"), b"").unwrap();
         let torn = &txn_block(Tid::new(3, 1), 0, b"key", Some(b"value"))[..4];
         std::fs::write(dir.join("silo-log-2-seg000000.bin"), torn).unwrap();
 

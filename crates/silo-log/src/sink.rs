@@ -172,8 +172,8 @@ pub struct TruncateOutcome {
 
 /// Destination for log bytes. Each logger thread owns one sink.
 ///
-/// The segmentation hooks have no-op defaults so in-memory and single-file
-/// sinks keep working unchanged.
+/// The segmentation hooks have no-op defaults so in-memory sinks keep
+/// working unchanged.
 pub trait LogSink {
     /// Appends `data` to the log (one call per group-commit round).
     ///
@@ -251,12 +251,6 @@ pub struct FileSink {
     /// [`LogSink::reopen`] truncates back to this offset — anything beyond
     /// it may or may not have reached the device and must be rewritten.
     synced_len: u64,
-    /// Segmentation state; `None` for the legacy single-file mode used by
-    /// tests ([`FileSink::create`]).
-    segmented: Option<Segmented>,
-}
-
-struct Segmented {
     dir: PathBuf,
     logger_index: usize,
     /// Rotation threshold in bytes.
@@ -279,38 +273,7 @@ pub(crate) fn parse_segment_name(name: &str) -> Option<(usize, u64)> {
     Some((idx.parse().ok()?, seq.parse().ok()?))
 }
 
-/// Parses the legacy single-file name `silo-log-<i>.bin`.
-pub(crate) fn parse_legacy_name(name: &str) -> Option<usize> {
-    let rest = name.strip_prefix("silo-log-")?.strip_suffix(".bin")?;
-    rest.parse().ok()
-}
-
 impl FileSink {
-    /// Creates (truncates) a single log file at `path` — the legacy,
-    /// non-segmented mode (no rotation, no truncation).
-    pub fn create(path: PathBuf, fsync: bool) -> Result<Self, SinkError> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| {
-                SinkError::setup(
-                    "create",
-                    format!("cannot create log file {}: {e}", path.display()),
-                )
-            })?;
-        Ok(FileSink {
-            file,
-            path,
-            fsync,
-            written: 0,
-            file_len: 0,
-            synced_len: 0,
-            segmented: None,
-        })
-    }
-
     /// Opens a segmented sink for `logger_index` (one of `num_loggers`
     /// loggers) under `dir`.
     ///
@@ -346,17 +309,13 @@ impl FileSink {
             for entry in entries.flatten() {
                 let name = entry.file_name();
                 let Some(name) = name.to_str() else { continue };
-                if let Some((idx, seq)) = parse_segment_name(name) {
-                    if owns(idx) {
-                        if idx == logger_index {
-                            next_seq = next_seq.max(seq + 1);
-                        }
-                        closed.push(ClosedSegment {
-                            path: entry.path(),
-                            max_epoch: None,
-                        });
+                let Some((idx, seq)) = parse_segment_name(name) else {
+                    continue;
+                };
+                if owns(idx) {
+                    if idx == logger_index {
+                        next_seq = next_seq.max(seq + 1);
                     }
-                } else if parse_legacy_name(name).is_some_and(owns) {
                     closed.push(ClosedSegment {
                         path: entry.path(),
                         max_epoch: None,
@@ -382,15 +341,13 @@ impl FileSink {
             written: 0,
             file_len: 0,
             synced_len: 0,
-            segmented: Some(Segmented {
-                dir: dir.to_path_buf(),
-                logger_index,
-                segment_bytes: segment_bytes.max(1),
-                next_seq: next_seq + 1,
-                current_bytes: 0,
-                current_max_epoch: 0,
-                closed,
-            }),
+            dir: dir.to_path_buf(),
+            logger_index,
+            segment_bytes: segment_bytes.max(1),
+            next_seq: next_seq + 1,
+            current_bytes: 0,
+            current_max_epoch: 0,
+            closed,
         })
     }
 
@@ -442,9 +399,7 @@ impl LogSink for FileSink {
         }
         self.file_len += data.len() as u64;
         self.written += data.len() as u64;
-        if let Some(seg) = &mut self.segmented {
-            seg.current_bytes += data.len() as u64;
-        }
+        self.current_bytes += data.len() as u64;
         Ok(())
     }
 
@@ -464,22 +419,15 @@ impl LogSink for FileSink {
     }
 
     fn observe_epoch(&mut self, epoch: u64) {
-        if let Some(seg) = &mut self.segmented {
-            seg.current_max_epoch = seg.current_max_epoch.max(epoch);
-        }
+        self.current_max_epoch = self.current_max_epoch.max(epoch);
     }
 
     fn should_rotate(&self) -> bool {
-        self.segmented
-            .as_ref()
-            .is_some_and(|seg| seg.current_bytes >= seg.segment_bytes)
+        self.current_bytes >= self.segment_bytes
     }
 
     fn rotate(&mut self) -> Result<bool, SinkError> {
-        let Some(seg) = &mut self.segmented else {
-            return Ok(false);
-        };
-        if seg.current_bytes == 0 {
+        if self.current_bytes == 0 {
             // Nothing in the current segment; rotation would only litter.
             return Ok(false);
         }
@@ -488,19 +436,21 @@ impl LogSink for FileSink {
         let _ = self.file.sync_data();
         // Open the successor before swapping anything, so a failure here
         // leaves the current segment fully writable for a later retry.
-        let path = seg.dir.join(segment_name(seg.logger_index, seg.next_seq));
+        let path = self
+            .dir
+            .join(segment_name(self.logger_index, self.next_seq));
         let file = OpenOptions::new()
             .create_new(true)
             .write(true)
             .open(&path)
             .map_err(|e| SinkError::io("rotate", &e))?;
-        seg.closed.push(ClosedSegment {
+        self.closed.push(ClosedSegment {
             path: self.path.clone(),
-            max_epoch: Some(seg.current_max_epoch),
+            max_epoch: Some(self.current_max_epoch),
         });
-        seg.next_seq += 1;
-        seg.current_bytes = 0;
-        seg.current_max_epoch = 0;
+        self.next_seq += 1;
+        self.current_bytes = 0;
+        self.current_max_epoch = 0;
         self.file = file;
         self.path = path;
         self.file_len = 0;
@@ -522,20 +472,15 @@ impl LogSink for FileSink {
             .map_err(|e| SinkError::io("reopen", &e))?;
         let lost = self.file_len.saturating_sub(self.synced_len);
         self.written = self.written.saturating_sub(lost);
-        if let Some(seg) = &mut self.segmented {
-            seg.current_bytes = seg.current_bytes.saturating_sub(lost);
-        }
+        self.current_bytes = self.current_bytes.saturating_sub(lost);
         self.file_len = self.synced_len;
         self.file = file;
         Ok(true)
     }
 
     fn truncate_obsolete(&mut self, ckpt_epoch: u64) -> TruncateOutcome {
-        let Some(seg) = &mut self.segmented else {
-            return TruncateOutcome::default();
-        };
         let mut outcome = TruncateOutcome::default();
-        seg.closed.retain_mut(|closed| {
+        self.closed.retain_mut(|closed| {
             let max_epoch = *closed
                 .max_epoch
                 .get_or_insert_with(|| scan_file_max_epoch(&closed.path));
@@ -616,34 +561,40 @@ mod tests {
     #[test]
     fn file_sink_writes_and_truncates() {
         let dir = std::env::temp_dir().join(format!("silo-log-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sink-test.bin");
+        let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut sink = FileSink::create(path.clone(), false).unwrap();
+            let mut sink = FileSink::segmented(&dir, 0, 1, false, 1 << 20).unwrap();
             sink.append(b"0123456789").unwrap();
             sink.sync().unwrap();
             assert_eq!(sink.bytes_written(), 10);
-            // Legacy mode: no segmentation behaviour.
+            // Below the rotation threshold, with nothing closed to truncate.
             assert!(!sink.should_rotate());
-            assert!(!sink.rotate().unwrap());
             assert_eq!(sink.truncate_obsolete(u64::MAX), TruncateOutcome::default());
         }
-        assert_eq!(std::fs::read(&path).unwrap(), b"0123456789");
+        assert_eq!(
+            std::fs::read(dir.join(segment_name(0, 0))).unwrap(),
+            b"0123456789"
+        );
         {
-            let mut sink = FileSink::create(path.clone(), true).unwrap();
+            let mut sink = FileSink::segmented(&dir, 0, 1, true, 1 << 20).unwrap();
             sink.append(b"xy").unwrap();
             sink.sync().unwrap();
         }
-        assert_eq!(std::fs::read(&path).unwrap(), b"xy");
+        // A reopened sink writes a fresh segment and leaves the old one be.
+        assert_eq!(std::fs::read(dir.join(segment_name(0, 1))).unwrap(), b"xy");
+        assert_eq!(
+            std::fs::read(dir.join(segment_name(0, 0))).unwrap(),
+            b"0123456789"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn reopen_discards_the_unsynced_tail_and_resumes_at_the_synced_offset() {
         let dir = std::env::temp_dir().join(format!("silo-reopen-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("reopen.bin");
-        let mut sink = FileSink::create(path.clone(), false).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut sink = FileSink::segmented(&dir, 0, 1, false, 1 << 20).unwrap();
+        let path = sink.path().clone();
         sink.append(b"AAAA").unwrap();
         sink.sync().unwrap();
         // A round lands in the page cache but its sync fails: reopen must
@@ -666,15 +617,17 @@ mod tests {
 
     #[test]
     fn create_in_missing_directory_is_a_typed_setup_error() {
-        let path = std::env::temp_dir()
-            .join(format!("silo-no-such-dir-{}", std::process::id()))
-            .join("log.bin");
-        let err = match FileSink::create(path, false) {
+        // `segmented` creates missing directories, so make one impossible to
+        // create: its parent is a regular file.
+        let file = std::env::temp_dir().join(format!("silo-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, b"").unwrap();
+        let err = match FileSink::segmented(&file.join("logs"), 0, 1, false, 1 << 20) {
             Ok(_) => panic!("creating a sink in a missing directory must fail"),
             Err(e) => e,
         };
         assert_eq!(err.kind(), SinkErrorKind::Setup);
         assert!(!err.is_transient());
+        std::fs::remove_file(&file).unwrap();
     }
 
     #[test]
@@ -682,9 +635,7 @@ mod tests {
         assert_eq!(parse_segment_name(&segment_name(3, 17)), Some((3, 17)));
         assert_eq!(parse_segment_name("silo-log-0-seg000000.bin"), Some((0, 0)));
         assert_eq!(parse_segment_name("silo-log-0.bin"), None);
-        assert_eq!(parse_legacy_name("silo-log-2.bin"), Some(2));
-        assert_eq!(parse_legacy_name("silo-log-2-seg000001.bin"), None);
-        assert_eq!(parse_legacy_name("unrelated.bin"), None);
+        assert_eq!(parse_segment_name("unrelated.bin"), None);
     }
 
     fn txn_bytes(epoch: u64, key: &[u8]) -> Vec<u8> {
@@ -762,16 +713,16 @@ mod tests {
         encode_epoch_marker(&mut old, 3);
         std::fs::write(dir.join(segment_name(2, 0)), &old).unwrap();
         std::fs::write(dir.join(segment_name(3, 0)), &old).unwrap();
-        std::fs::write(dir.join("silo-log-5.bin"), &old).unwrap(); // orphan legacy name
+        std::fs::write(dir.join(segment_name(5, 0)), &old).unwrap();
 
         let mut sink0 = FileSink::segmented(&dir, 0, 2, false, 1 << 20).unwrap();
         let mut sink1 = FileSink::segmented(&dir, 1, 2, false, 1 << 20).unwrap();
-        // Logger 0 adopts stream 2; logger 1 adopts streams 3 and legacy 5.
+        // Logger 0 adopts stream 2; logger 1 adopts streams 3 and 5.
         assert_eq!(sink0.truncate_obsolete(3).segments_deleted, 1);
         assert_eq!(sink1.truncate_obsolete(3).segments_deleted, 2);
         assert!(!dir.join(segment_name(2, 0)).exists());
         assert!(!dir.join(segment_name(3, 0)).exists());
-        assert!(!dir.join("silo-log-5.bin").exists());
+        assert!(!dir.join(segment_name(5, 0)).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1228,24 +1228,26 @@ mod checkpoint_equivalence {
     fn write_checkpoint(dir: &std::path::Path, ce: u64, state: &HashMap<u8, (Tid, Vec<u8>)>) {
         let ckpt = dir.join("checkpoints").join(format!("ckpt-{ce:016x}"));
         std::fs::create_dir_all(&ckpt).unwrap();
-        let mut slice = Vec::new();
+        let mut payload = Vec::new();
         let mut keys: Vec<&u8> = state.keys().collect();
         keys.sort();
         for k in &keys {
             let (tid, value) = &state[k];
             let key = key_bytes(**k);
-            slice.extend_from_slice(&0u32.to_le_bytes());
-            slice.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            slice.extend_from_slice(&key);
-            slice.extend_from_slice(&tid.raw().to_le_bytes());
-            slice.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            slice.extend_from_slice(value);
+            payload.extend_from_slice(&0u32.to_le_bytes());
+            payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            payload.extend_from_slice(&key);
+            payload.extend_from_slice(&tid.raw().to_le_bytes());
+            payload.extend_from_slice(&(value.len() as u32).to_le_bytes());
+            payload.extend_from_slice(value);
         }
+        let mut slice = crate::checkpoint::SLICE_MAGIC.to_vec();
+        crate::checkpoint::write_frame(&mut slice, &payload).unwrap();
         std::fs::write(ckpt.join("slice-0.bin"), &slice).unwrap();
         std::fs::write(
             ckpt.join("MANIFEST"),
             format!(
-                "silo-checkpoint v1\nepoch {ce}\nslices 1\nslice 0 {} {}\nend\n",
+                "silo-checkpoint v2\nepoch {ce}\nslices 1\nslice 0 {} {}\nend\n",
                 slice.len(),
                 keys.len()
             ),

@@ -1,9 +1,9 @@
 //! Deterministic wire-level fault injection.
 //!
-//! The network twin of `silo_log::fault`: a [`NetFaultPlan`] is a seeded
-//! failpoint registry scheduling faults (by kind) at specific operation
-//! counts of the two I/O sites ([`NetFaultSite::Read`] and
-//! [`NetFaultSite::Write`]), and a [`FaultStream`] wraps one half of a
+//! The wire's fault kinds ([`NetFaultKind`]) at its two I/O sites
+//! ([`NetFaultSite::Read`] and [`NetFaultSite::Write`]), scheduled by the
+//! one seeded scheduler of [`silo_log::fault`] ([`NetFaultPlan`] is its
+//! wire instance), and a [`FaultStream`] that wraps one half of a
 //! connection, injecting the scheduled faults into the byte stream.
 //!
 //! Both the server's accept path ([`crate::ServerConfig::with_fault`]) and
@@ -40,11 +40,12 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+pub use silo_log::fault::xorshift;
+use silo_log::fault::{Fault, FaultPlan};
 
 /// Which half of a connection a fault fires on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,18 +54,6 @@ pub enum NetFaultSite {
     Read,
     /// A `write` call on the connection.
     Write,
-}
-
-/// Number of distinct [`NetFaultSite`]s (sizing the per-site counters).
-const N_SITES: usize = 2;
-
-impl NetFaultSite {
-    fn index(self) -> usize {
-        match self {
-            NetFaultSite::Read => 0,
-            NetFaultSite::Write => 1,
-        }
-    }
 }
 
 /// What kind of wire failure to inject.
@@ -95,126 +84,24 @@ pub enum NetFaultKind {
     },
 }
 
-#[derive(Debug)]
-struct Scheduled {
-    site: NetFaultSite,
-    /// Fire on the `at`-th operation at `site` (1-based).
-    at: u64,
-    kind: NetFaultKind,
-}
-
 /// A deterministic schedule of wire faults, shared by every [`FaultStream`]
-/// of one endpoint (all its connections count into the same per-site
-/// counters, exactly like `FaultPlan` is shared by every sink of one logging
-/// subsystem).
-#[derive(Debug, Default)]
-pub struct NetFaultPlan {
-    seed: u64,
-    scheduled: Mutex<Vec<Scheduled>>,
-    ops: [AtomicU64; N_SITES],
-    injected: AtomicU64,
-}
+/// of one endpoint: all its connections count into the same per-site
+/// counters.
+pub type NetFaultPlan = FaultPlan<NetFaultKind>;
 
-/// xorshift64* — deterministic, dependency-free PRNG for seeded schedules.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
+impl Fault for NetFaultKind {
+    type Site = NetFaultSite;
+    const SEEDED_SPAN: u64 = 48;
 
-impl NetFaultPlan {
-    /// An empty plan (schedule faults with [`NetFaultPlan::fail_at`]).
-    pub fn new() -> NetFaultPlan {
-        NetFaultPlan::default()
-    }
-
-    /// Schedules `kind` to fire on the `nth` operation (1-based) at `site`.
-    pub fn fail_at(self, site: NetFaultSite, nth: u64, kind: NetFaultKind) -> NetFaultPlan {
-        self.scheduled.lock().push(Scheduled {
-            site,
-            at: nth.max(1),
-            kind,
-        });
-        self
-    }
-
-    /// A random mixed schedule derived from `seed`: a handful of faults of
-    /// random kinds at random early operation counts.
-    pub fn from_seed(seed: u64) -> NetFaultPlan {
-        let mut state = seed | 1;
-        let mut plan = NetFaultPlan {
-            seed,
-            ..NetFaultPlan::default()
-        };
-        let faults = 1 + (xorshift(&mut state) % 4);
-        for _ in 0..faults {
-            let site = if xorshift(&mut state) % 2 == 0 {
-                NetFaultSite::Read
-            } else {
-                NetFaultSite::Write
-            };
-            let at = 1 + (xorshift(&mut state) % 48);
-            let kind = Self::random_kind(&mut state);
-            plan = plan.fail_at(site, at, kind);
-        }
-        plan
-    }
-
-    /// A schedule of one fault *family* with seed-determined positions:
-    ///
-    /// | profile | injected faults |
-    /// |---|---|
-    /// | `reset` | one connection reset on a random site |
-    /// | `torn` | one torn transfer on a random site |
-    /// | `stall` | a couple of multi-millisecond stalls |
-    /// | `loris` | a run of one-byte dribbles on the write site |
-    /// | `corrupt` | one detectable frame-header corruption |
-    pub fn profile(profile: &str, seed: u64) -> NetFaultPlan {
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15 | 1;
-        let mut plan = NetFaultPlan {
-            seed,
-            ..NetFaultPlan::default()
-        };
-        let mut pick = |range: u64| 1 + (xorshift(&mut state) % range);
-        let site = if pick(2) == 1 {
+    fn random_site(state: &mut u64) -> NetFaultSite {
+        if xorshift(state) % 2 == 0 {
             NetFaultSite::Read
         } else {
             NetFaultSite::Write
-        };
-        match profile {
-            "reset" => {
-                plan = plan.fail_at(site, pick(24), NetFaultKind::Reset);
-            }
-            "torn" => {
-                plan = plan.fail_at(site, pick(24), NetFaultKind::Torn);
-            }
-            "stall" => {
-                plan = plan
-                    .fail_at(site, pick(16), NetFaultKind::Stall { millis: 5 + pick(40) })
-                    .fail_at(site, 16 + pick(16), NetFaultKind::Stall { millis: 5 + pick(40) });
-            }
-            "loris" => {
-                let start = pick(12);
-                for i in 0..3 + pick(4) {
-                    plan = plan.fail_at(
-                        NetFaultSite::Write,
-                        start + i,
-                        NetFaultKind::Loris { millis: 1 + pick(5) },
-                    );
-                }
-            }
-            "corrupt" => {
-                plan = plan.fail_at(site, pick(24), NetFaultKind::CorruptFrame { bit: pick(1 << 20) });
-            }
-            other => panic!("unknown net fault profile {other:?}"),
         }
-        plan
     }
 
-    fn random_kind(state: &mut u64) -> NetFaultKind {
+    fn random_kind(state: &mut u64, _site: NetFaultSite) -> NetFaultKind {
         match xorshift(state) % 5 {
             0 => NetFaultKind::Reset,
             1 => NetFaultKind::Torn,
@@ -230,38 +117,66 @@ impl NetFaultPlan {
         }
     }
 
-    /// The seed the plan was derived from (0 for explicitly built plans).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Counts one operation at `site` and returns the fault scheduled for
-    /// it, if any. Each scheduled fault fires at most once.
-    pub fn next_fault(&self, site: NetFaultSite) -> Option<NetFaultKind> {
-        let count = self.ops[site.index()].fetch_add(1, Ordering::Relaxed) + 1;
-        let mut scheduled = self.scheduled.lock();
-        let hit = scheduled
-            .iter()
-            .position(|s| s.site == site && s.at == count)?;
-        let fault = scheduled.swap_remove(hit);
-        self.injected.fetch_add(1, Ordering::Relaxed);
-        Some(fault.kind)
-    }
-
-    /// Total faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    /// Whether every scheduled fault has fired (chaos harnesses drive load
-    /// until the schedule is exhausted so no fault goes untested).
-    pub fn exhausted(&self) -> bool {
-        self.scheduled.lock().is_empty()
+    /// | profile | injected faults |
+    /// |---|---|
+    /// | `reset` | one connection reset on a random site |
+    /// | `torn` | one torn transfer on a random site |
+    /// | `stall` | a couple of multi-millisecond stalls |
+    /// | `loris` | a run of one-byte dribbles on the write site |
+    /// | `corrupt` | one detectable frame-header corruption |
+    fn profile(name: &str, state: &mut u64) -> NetFaultPlan {
+        let plan = NetFaultPlan::new();
+        let mut pick = |range: u64| 1 + (xorshift(state) % range);
+        let site = if pick(2) == 1 {
+            NetFaultSite::Read
+        } else {
+            NetFaultSite::Write
+        };
+        match name {
+            "reset" => plan.fail_at(site, pick(24), NetFaultKind::Reset),
+            "torn" => plan.fail_at(site, pick(24), NetFaultKind::Torn),
+            "stall" => plan
+                .fail_at(
+                    site,
+                    pick(16),
+                    NetFaultKind::Stall {
+                        millis: 5 + pick(40),
+                    },
+                )
+                .fail_at(
+                    site,
+                    16 + pick(16),
+                    NetFaultKind::Stall {
+                        millis: 5 + pick(40),
+                    },
+                ),
+            "loris" => {
+                let start = pick(12);
+                (0..3 + pick(4)).fold(plan, |plan, i| {
+                    plan.fail_at(
+                        NetFaultSite::Write,
+                        start + i,
+                        NetFaultKind::Loris {
+                            millis: 1 + pick(5),
+                        },
+                    )
+                })
+            }
+            "corrupt" => plan.fail_at(
+                site,
+                pick(24),
+                NetFaultKind::CorruptFrame { bit: pick(1 << 20) },
+            ),
+            other => panic!("unknown net fault profile {other:?}"),
+        }
     }
 }
 
 fn reset_error() -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::ConnectionReset, "injected connection reset")
+    std::io::Error::new(
+        std::io::ErrorKind::ConnectionReset,
+        "injected connection reset",
+    )
 }
 
 /// One half of a connection with a [`NetFaultPlan`] spliced into it.
@@ -435,50 +350,49 @@ impl<S: Write> Write for FaultStream<S> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn scheduled_fault_fires_exactly_once_at_its_count() {
-        let plan = NetFaultPlan::new().fail_at(NetFaultSite::Write, 2, NetFaultKind::Reset);
-        assert_eq!(plan.next_fault(NetFaultSite::Write), None);
-        assert_eq!(plan.next_fault(NetFaultSite::Write), Some(NetFaultKind::Reset));
-        assert_eq!(plan.next_fault(NetFaultSite::Write), None);
-        assert_eq!(plan.injected(), 1);
-        assert!(plan.exhausted());
-    }
-
-    #[test]
-    fn sites_count_independently() {
-        let plan = NetFaultPlan::new()
-            .fail_at(NetFaultSite::Read, 1, NetFaultKind::Torn)
-            .fail_at(NetFaultSite::Write, 2, NetFaultKind::Stall { millis: 0 });
-        assert_eq!(plan.next_fault(NetFaultSite::Write), None);
-        assert_eq!(plan.next_fault(NetFaultSite::Read), Some(NetFaultKind::Torn));
-        assert_eq!(
-            plan.next_fault(NetFaultSite::Write),
-            Some(NetFaultKind::Stall { millis: 0 })
-        );
-    }
-
+    /// FNV-1a over the pending `(site, at, kind)` list of every seeded
+    /// schedule the fault-matrix and net-chaos suites can build, one plan
+    /// per line. The expected value was captured from the two per-layer
+    /// schedulers this generic plan replaced, so any change to a draw order
+    /// — and with it the schedules those suites cover — shows up here.
     #[test]
     fn seeded_plans_are_deterministic() {
-        for seed in [1u64, 7, 0xDEAD_BEEF] {
-            let a = NetFaultPlan::from_seed(seed);
-            let b = NetFaultPlan::from_seed(seed);
-            let fmt = |p: &NetFaultPlan| format!("{:?}", p.scheduled.lock());
-            assert_eq!(fmt(&a), fmt(&b), "seed {seed} must reproduce its schedule");
+        type LogFaultPlan = silo_log::FaultPlan;
+        let mut plans: Vec<String> = Vec::new();
+        for profile in [
+            "transient",
+            "permanent",
+            "torn",
+            "corrupt",
+            "enospc",
+            "stall",
+            "crash",
+        ] {
+            plans.extend((0..16).map(|seed| format!("{:?}", LogFaultPlan::profile(profile, seed))));
         }
         for profile in ["reset", "torn", "stall", "loris", "corrupt"] {
-            let a = NetFaultPlan::profile(profile, 42);
-            let b = NetFaultPlan::profile(profile, 42);
-            assert_eq!(
-                format!("{:?}", a.scheduled.lock()),
-                format!("{:?}", b.scheduled.lock()),
-                "profile {profile} must be deterministic"
-            );
-            assert!(
-                !a.scheduled.lock().is_empty(),
-                "profile {profile} schedules something"
-            );
+            plans.extend((0..16).map(|seed| format!("{:?}", NetFaultPlan::profile(profile, seed))));
         }
+        plans.extend((0..64).map(|seed| format!("{:?}", LogFaultPlan::from_seed(seed))));
+        plans.extend((0..64).map(|seed| format!("{:?}", NetFaultPlan::from_seed(seed))));
+        // The net-chaos seeds, each followed by its per-client derivations.
+        for seed in [3u64, 7, 42, 1999, 31337, 0xC0FFEE] {
+            plans.push(format!("{:?}", NetFaultPlan::from_seed(seed)));
+            for c in 0..4u64 {
+                let client = seed ^ (c + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                plans.push(format!("{:?}", NetFaultPlan::from_seed(client)));
+            }
+        }
+        assert!(
+            plans.iter().all(|p| p != "[]"),
+            "every seeded plan schedules something"
+        );
+        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
+        for byte in plans.iter().flat_map(|p| p.bytes().chain([b'\n'])) {
+            hash = (hash ^ byte as u64).wrapping_mul(0x0100_0000_01B3);
+        }
+        assert_eq!(plans.len(), 350);
+        assert_eq!(hash, 0xedee_9874_77c0_375f, "a seeded schedule changed");
     }
 
     #[test]
@@ -490,11 +404,8 @@ mod tests {
 
     #[test]
     fn reset_kills_the_stream_for_good() {
-        let plan = Arc::new(NetFaultPlan::new().fail_at(
-            NetFaultSite::Write,
-            1,
-            NetFaultKind::Reset,
-        ));
+        let plan =
+            Arc::new(NetFaultPlan::new().fail_at(NetFaultSite::Write, 1, NetFaultKind::Reset));
         let mut s = FaultStream::new(Vec::new(), Some(plan));
         let err = s.write(b"hello").unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::ConnectionReset);
@@ -551,10 +462,12 @@ mod tests {
         let plan =
             Arc::new(NetFaultPlan::new().fail_at(NetFaultSite::Write, 1, NetFaultKind::Reset));
         let mut w = FaultStream::new(Vec::new(), Some(Arc::clone(&plan)));
-        let mut r =
-            FaultStream::new(&b"data"[..], Some(plan)).with_shared_death(w.share_death());
+        let mut r = FaultStream::new(&b"data"[..], Some(plan)).with_shared_death(w.share_death());
         assert!(w.write(b"x").is_err());
         let mut buf = [0u8; 4];
-        assert!(r.read(&mut buf).is_err(), "reset on the write half kills reads too");
+        assert!(
+            r.read(&mut buf).is_err(),
+            "reset on the write half kills reads too"
+        );
     }
 }

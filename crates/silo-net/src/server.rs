@@ -16,7 +16,7 @@
 //!              then flushes the whole pipelined burst
 //! ```
 //!
-//! Each worker thread owns a [`Worker`](silo_core::Worker) handle and drains
+//! Each worker thread owns a [`silo_core::Worker`] handle and drains
 //! a *batch* of decoded requests per iteration, executing each as a
 //! transaction. A connection's requests are pinned to one worker, so its
 //! responses come back in request order — which is what makes fire-N-drain-N
