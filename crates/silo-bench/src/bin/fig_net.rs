@@ -20,6 +20,12 @@
 //! * `SILO_BENCH_NET_KEYS` — key space per connection (default 10_000).
 //! * `SILO_BENCH_NET_VALUE_BYTES` — value payload size (default 100).
 //!
+//! A run without a fault seed also checks two cross-layer identities and
+//! exits non-zero if either fails: the server's `writes_acked` equals the
+//! durable write acks the clients received, and the server's
+//! `txns_committed` equals the non-error responses the clients received
+//! (every such response is one committed one-shot transaction).
+//!
 //! Chaos knobs (both off in plain runs — the resilience counters in
 //! `BENCH_JSON` then report zero, which net-smoke CI asserts):
 //!
@@ -42,6 +48,7 @@ use silo_client::{ClientConfig, ClientError, Connection};
 use silo_core::Database;
 use silo_log::{LogConfig, SiloLogger};
 use silo_net::{ErrorCode, NetFaultPlan, Request, Response, Server, ServerConfig};
+use silo_wl::driver::percentile;
 
 /// Per-connection tally brought back to the main thread.
 #[derive(Default)]
@@ -56,14 +63,6 @@ struct ConnResult {
     reconnects: u64,
     ack_unknown: u64,
     latencies_us: Vec<u64>,
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// The request-mix knobs every connection shares.
@@ -359,7 +358,7 @@ fn main() {
     }
 
     emit_bench_json_raw(format!(
-        "{{\"bench\":\"fig_net\",\"series\":\"loopback pipelined\",\"threads\":{conns},\"seconds\":{:.3},\"committed\":{},\"aborted\":{},\"throughput_txns_per_s\":{throughput:.1},\"pipeline\":{pipeline},\"server_workers\":{workers},\"reads\":{},\"writes_acked\":{},\"writes_shed_busy\":{},\"writes_shed_degraded\":{},\"latency_samples\":{},\"latency_p50_us\":{},\"latency_p99_us\":{},\"latency_p999_us\":{},\"latency_max_us\":{},\"log_sync_calls\":{},\"syncs_per_acked_write\":{syncs_per_acked_write:.4},\"server_requests\":{},\"server_protocol_errors\":{},\"net_fault_seed\":{},\"net_faults_injected\":{faults_injected},\"net_retries\":{},\"net_reconnects\":{},\"net_ack_unknown\":{}}}",
+        "{{\"bench\":\"fig_net\",\"series\":\"loopback pipelined\",\"threads\":{conns},\"seconds\":{:.3},\"committed\":{},\"aborted\":{},\"throughput_txns_per_s\":{throughput:.1},\"pipeline\":{pipeline},\"server_workers\":{workers},\"reads\":{},\"writes_acked\":{},\"writes_shed_busy\":{},\"writes_shed_degraded\":{},\"latency_samples\":{},\"latency_p50_us\":{},\"latency_p99_us\":{},\"latency_p999_us\":{},\"latency_max_us\":{},\"log_sync_calls\":{},\"syncs_per_acked_write\":{syncs_per_acked_write:.4},\"server_requests\":{},\"server_protocol_errors\":{},\"server_txns_committed\":{},\"server_writes_acked\":{},\"net_fault_seed\":{},\"net_faults_injected\":{faults_injected},\"net_retries\":{},\"net_reconnects\":{},\"net_ack_unknown\":{}}}",
         elapsed.as_secs_f64(),
         total.ok,
         total.aborted,
@@ -375,12 +374,33 @@ fn main() {
         log_stats.sync_calls,
         srv_stats.requests,
         srv_stats.protocol_errors,
+        srv_stats.txns_committed,
+        srv_stats.writes_acked,
         fault_seed.unwrap_or(0),
         total.retries,
         total.reconnects,
         total.ack_unknown,
     ));
     write_bench_json("fig_net");
+
+    // Cross-layer identities; wire faults legitimately break them (a lost
+    // response was counted by the server but never seen by a client).
+    if fault_seed.is_none() {
+        let identities = [
+            ("writes_acked", srv_stats.writes_acked, "durable write acks", total.writes_acked),
+            ("txns_committed", srv_stats.txns_committed, "non-error responses", total.ok),
+        ];
+        for (server_name, server, client_name, clients) in identities {
+            if server != clients {
+                eprintln!(
+                    "fig_net: cross-layer identity failed: server {server_name} {server} \
+                     != client {client_name} {clients}"
+                );
+                std::process::exit(1);
+            }
+        }
+        println!("# identities hold: server writes_acked and txns_committed match the clients");
+    }
 }
 
 /// Creates the benchmark table through the wire protocol (exercising

@@ -28,8 +28,9 @@
 //! A [`Session`] opened with [`ClientConfig::resilient`] rides out partial
 //! failure instead of surfacing it:
 //!
-//! * **Timeouts** — socket read/write timeouts plus a per-request deadline
-//!   bound every blocking call ([`ClientError::TimedOut`]).
+//! * **Timeouts** — the socket read timeout ([`ClientConfig::read_timeout`])
+//!   and a fixed 30 s socket write timeout bound every blocking call
+//!   ([`ClientError::TimedOut`]); there is no separate per-request deadline.
 //! * **Retries** — a [`RetryPolicy`] (capped exponential backoff + jitter,
 //!   bounded attempts) transparently retries `ServerBusy`, OCC `Aborted`
 //!   outcomes, and — after probing [`Session::health`] until the server
@@ -96,7 +97,7 @@ pub enum ClientError {
     Closed,
     /// The server answered with a typed error frame.
     Server(ServerError),
-    /// A socket timeout or per-request deadline expired.
+    /// A socket read or write timeout expired.
     TimedOut,
     /// The transport died while an **untokenized write** was in flight: the
     /// write may or may not have committed, and retrying it blindly could
@@ -178,8 +179,11 @@ impl ClientError {
     }
 }
 
-/// How a [`Session`] retries retryable outcomes: capped exponential backoff
-/// with jitter and a bounded attempt budget.
+/// How a [`Session`] retries retryable outcomes (OCC `Aborted`,
+/// `ServerBusy`, `DurabilityDegraded`): capped exponential backoff with
+/// jitter and a bounded attempt budget. Retrying an abort is safe: a
+/// single-op request is value-idempotent, and a `transact` retry re-runs the
+/// whole batch.
 ///
 /// Non-exhaustive with `with_*` builders. [`RetryPolicy::none`] (the
 /// [`ClientConfig`] default) disables retries entirely; every error
@@ -196,10 +200,6 @@ pub struct RetryPolicy {
     /// Randomize each backoff within `[backoff/2, backoff]` so synchronized
     /// clients do not retry in lockstep.
     pub jitter: bool,
-    /// Whether OCC `Aborted` outcomes are retried (single-op requests are
-    /// value-idempotent, so this is safe; multi-op `transact` retries re-run
-    /// the whole batch).
-    pub retry_aborts: bool,
     /// On `DurabilityDegraded`, poll [`Session::health`] for up to this long
     /// waiting for the server to report `Healthy` before retrying
     /// (`Duration::ZERO` = retry on plain backoff instead).
@@ -213,7 +213,6 @@ impl Default for RetryPolicy {
             initial_backoff: Duration::from_millis(2),
             max_backoff: Duration::from_millis(250),
             jitter: true,
-            retry_aborts: true,
             wait_for_health: Duration::from_secs(5),
         }
     }
@@ -249,12 +248,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Enables or disables retrying OCC aborts.
-    pub fn with_retry_aborts(mut self, retry: bool) -> Self {
-        self.retry_aborts = retry;
-        self
-    }
-
     /// Sets the health-recovery wait budget for `DurabilityDegraded`.
     pub fn with_wait_for_health(mut self, budget: Duration) -> Self {
         self.wait_for_health = budget;
@@ -267,34 +260,25 @@ impl RetryPolicy {
 ///
 /// The default matches the historical client: no retries, no reconnection,
 /// generous socket timeouts, and a protocol handshake. Opt into the full
-/// resilience stack with [`ClientConfig::resilient`].
+/// resilience stack with [`ClientConfig::resilient`]. Dialing gives up after
+/// 5 s, a blocked socket write after 30 s, and response frames are capped at
+/// [`DEFAULT_MAX_FRAME_BYTES`].
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ClientConfig {
-    /// TCP connect timeout (`Duration::ZERO` = the OS default).
-    pub connect_timeout: Duration,
     /// Socket read timeout: the longest a blocking receive may sit with no
     /// bytes arriving (`Duration::ZERO` disables).
     pub read_timeout: Duration,
-    /// Socket write timeout (`Duration::ZERO` disables).
-    pub write_timeout: Duration,
-    /// Per-response deadline: once a response frame's first byte arrives,
-    /// the rest must follow within this budget (`Duration::ZERO` = the
-    /// socket read timeout alone governs).
-    pub request_deadline: Duration,
-    /// Cap on accepted response frames.
-    pub max_frame_bytes: usize,
     /// The retry policy for retryable outcomes.
     pub retry: RetryPolicy,
     /// Whether a dead connection is transparently re-dialed (with a fresh
-    /// handshake and token replay for in-flight tokenized writes).
+    /// handshake and token replay for in-flight tokenized writes). A
+    /// reconnecting session derives a process-unique connection lineage,
+    /// which keys the server's token-replay window across reconnects.
     pub reconnect: bool,
     /// Whether to open connections with a `HELLO` handshake (negotiating the
     /// protocol version, and request tokens when `reconnect` is on).
     pub handshake: bool,
-    /// The session's connection lineage (keys the server's token-replay
-    /// window across reconnects). 0 = derive a process-unique lineage.
-    pub lineage: u64,
     /// Wire fault-injection plan spliced into every connection this config
     /// opens (`None` in production: one branch per I/O call).
     pub fault: Option<Arc<NetFaultPlan>>,
@@ -303,15 +287,10 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            connect_timeout: Duration::from_secs(5),
             read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(30),
-            request_deadline: Duration::ZERO,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             retry: RetryPolicy::none(),
             reconnect: false,
             handshake: true,
-            lineage: 0,
             fault: None,
         }
     }
@@ -328,34 +307,9 @@ impl ClientConfig {
         }
     }
 
-    /// Sets the TCP connect timeout (`Duration::ZERO` = OS default).
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
-        self
-    }
-
     /// Sets the socket read timeout (`Duration::ZERO` disables).
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
-        self
-    }
-
-    /// Sets the socket write timeout (`Duration::ZERO` disables).
-    pub fn with_write_timeout(mut self, timeout: Duration) -> Self {
-        self.write_timeout = timeout;
-        self
-    }
-
-    /// Sets the per-response deadline (`Duration::ZERO` = socket timeout
-    /// governs).
-    pub fn with_request_deadline(mut self, deadline: Duration) -> Self {
-        self.request_deadline = deadline;
-        self
-    }
-
-    /// Caps accepted response frames.
-    pub fn with_max_frame_bytes(mut self, bytes: usize) -> Self {
-        self.max_frame_bytes = bytes;
         self
     }
 
@@ -377,18 +331,17 @@ impl ClientConfig {
         self
     }
 
-    /// Pins the session's connection lineage (0 = derive one).
-    pub fn with_lineage(mut self, lineage: u64) -> Self {
-        self.lineage = lineage;
-        self
-    }
-
     /// Splices a wire fault-injection plan into every connection.
     pub fn with_fault(mut self, plan: Arc<NetFaultPlan>) -> Self {
         self.fault = Some(plan);
         self
     }
 }
+
+/// TCP connect timeout for every dial.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// Socket write timeout: bounds a send to a peer that stopped reading.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Counters a resilient [`Session`] keeps about its own recovery actions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -414,8 +367,6 @@ pub struct Connection {
     reader: BufReader<FaultStream<TcpStream>>,
     writer: BufWriter<FaultStream<TcpStream>>,
     in_flight: usize,
-    max_frame_bytes: usize,
-    request_deadline: Option<Duration>,
     encode_buf: Vec<u8>,
     frame_buf: Vec<u8>,
 }
@@ -440,12 +391,7 @@ impl Connection {
     fn connect_addrs(addrs: &[SocketAddr], config: &ClientConfig) -> Result<Connection, ClientError> {
         let mut last_err: Option<std::io::Error> = None;
         for addr in addrs {
-            let dialed = if config.connect_timeout.is_zero() {
-                TcpStream::connect(addr)
-            } else {
-                TcpStream::connect_timeout(addr, config.connect_timeout)
-            };
-            match dialed {
+            match TcpStream::connect_timeout(addr, CONNECT_TIMEOUT) {
                 Ok(stream) => return Connection::from_stream(stream, config),
                 Err(e) => last_err = Some(e),
             }
@@ -460,9 +406,7 @@ impl Connection {
         if !config.read_timeout.is_zero() {
             stream.set_read_timeout(Some(config.read_timeout))?;
         }
-        if !config.write_timeout.is_zero() {
-            stream.set_write_timeout(Some(config.write_timeout))?;
-        }
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         let read_half = FaultStream::new(stream.try_clone()?, config.fault.clone())
             .with_socket(stream.try_clone()?);
         let write_half = FaultStream::new(stream.try_clone()?, config.fault.clone())
@@ -472,17 +416,9 @@ impl Connection {
             reader: BufReader::new(read_half),
             writer: BufWriter::new(write_half),
             in_flight: 0,
-            max_frame_bytes: config.max_frame_bytes,
-            request_deadline: (!config.request_deadline.is_zero())
-                .then_some(config.request_deadline),
             encode_buf: Vec::new(),
             frame_buf: Vec::new(),
         })
-    }
-
-    /// Caps the size of response frames this client will accept.
-    pub fn set_max_frame_bytes(&mut self, bytes: usize) {
-        self.max_frame_bytes = bytes;
     }
 
     /// Performs the protocol handshake, requesting `features`; returns the
@@ -520,12 +456,7 @@ impl Connection {
             return Err(ClientError::Protocol("recv with no request in flight".to_string()));
         }
         self.flush()?;
-        if !protocol::read_frame_deadline(
-            &mut self.reader,
-            &mut self.frame_buf,
-            self.max_frame_bytes,
-            self.request_deadline,
-        )? {
+        if !protocol::read_frame(&mut self.reader, &mut self.frame_buf, DEFAULT_MAX_FRAME_BYTES)? {
             return Err(ClientError::Closed);
         }
         self.in_flight -= 1;
@@ -621,10 +552,7 @@ impl Session {
         if addrs.is_empty() {
             return Err(ClientError::Protocol("no socket address resolved".to_string()));
         }
-        let lineage = match config.lineage {
-            0 if config.reconnect => derive_lineage(),
-            other => other,
-        };
+        let lineage = if config.reconnect { derive_lineage() } else { 0 };
         let mut session = Session {
             conn: None,
             addrs,
@@ -805,11 +733,10 @@ impl Session {
             }
             let degraded = matches!(err.server_code(), Some(ErrorCode::DurabilityDegraded));
             let retryable = match &err {
-                ClientError::Server(se) => match se.code {
-                    ErrorCode::Aborted => policy.retry_aborts,
-                    ErrorCode::ServerBusy | ErrorCode::DurabilityDegraded => true,
-                    _ => false,
-                },
+                ClientError::Server(se) => matches!(
+                    se.code,
+                    ErrorCode::Aborted | ErrorCode::ServerBusy | ErrorCode::DurabilityDegraded
+                ),
                 _ if !sent => self.config.reconnect,
                 _ if !is_write || tokenized => self.config.reconnect,
                 _ => {
@@ -856,13 +783,10 @@ impl Session {
         }
         let mut conn = Connection::connect_addrs(&self.addrs, &self.config)?;
         if self.config.handshake {
-            let want = if self.config.reconnect && self.lineage != 0 {
-                FEATURE_REQUEST_TOKENS
-            } else {
-                0
-            };
+            // Only a reconnecting session has a lineage to key replays by.
+            let want = if self.config.reconnect { FEATURE_REQUEST_TOKENS } else { 0 };
             let granted = conn.hello(self.lineage, want)?;
-            self.tokens = granted & FEATURE_REQUEST_TOKENS != 0 && self.lineage != 0;
+            self.tokens = granted & want != 0;
         }
         if self.connected_once {
             self.stats.reconnects += 1;

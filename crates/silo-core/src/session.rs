@@ -5,7 +5,9 @@
 //! `insert`, `delete`, `scan`, `transact` — so code written against an
 //! embedded database reads the same as code written against a `silo-net`
 //! server, and migrating between the two is a connection change, not a
-//! rewrite.
+//! rewrite. A `silo-net` server is itself a client of this API: each of its
+//! workers owns a session and executes every wire request through these
+//! verbs, so embedded and networked calls share one retry rule.
 //!
 //! Single-operation verbs run as one-shot committed transactions and retry
 //! transient OCC aborts (read/node validation, unstable reads) a few times
@@ -64,8 +66,9 @@ impl Session {
     ///
     /// Mirrors the client's `Session::open_table`. Losing a creation race is
     /// handled by re-reading the catalog, so in the current catalog (tables
-    /// are never dropped) this cannot fail; the `Result` exists for
-    /// signature parity with the networked session.
+    /// are never dropped) this cannot fail. The `Result` keeps the verb's
+    /// shape uniform; the `silo-net` server, which executes `OpenTable`
+    /// through this method, answers an error as `NoSuchTable`.
     pub fn open_table(&mut self, name: &str) -> Result<TableId, Abort> {
         let db = Arc::clone(self.worker.database());
         if let Ok(id) = db.table_id(name) {
@@ -101,9 +104,9 @@ impl Session {
     }
 
     /// Deletes `key`, committing a one-shot transaction. Returns whether the
-    /// key existed.
-    pub fn delete(&mut self, table: TableId, key: &[u8]) -> Result<bool, Abort> {
-        self.retry(|txn| txn.delete(table, key)).map(|(v, _)| v)
+    /// key existed and the commit [`Tid`].
+    pub fn delete(&mut self, table: TableId, key: &[u8]) -> Result<(bool, Tid), Abort> {
+        self.retry(|txn| txn.delete(table, key))
     }
 
     /// Scans `[start, end)` (unbounded when `end` is `None`) up to `limit`
@@ -218,8 +221,8 @@ mod tests {
             vec![&b"a"[..], &b"b"[..], &b"c"[..]]
         );
 
-        assert!(s.delete(t, b"a").expect("delete"));
-        assert!(!s.delete(t, b"a").expect("delete missing"));
+        assert!(s.delete(t, b"a").expect("delete").0);
+        assert!(!s.delete(t, b"a").expect("delete missing").0);
 
         let aborted = s.transact(|txn| {
             txn.write(t, b"never", b"x")?;

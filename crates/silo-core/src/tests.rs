@@ -377,6 +377,29 @@ fn aborted_insert_leaves_no_visible_key() {
 }
 
 #[test]
+fn explicit_abort_files_the_poisoning_reason() {
+    let db = test_db();
+    let t = db.create_table("t").unwrap();
+    let mut w = db.register_worker();
+    let mut txn = w.begin();
+    txn.insert(t, b"k", b"v").unwrap();
+    txn.commit().unwrap();
+
+    let mut txn = w.begin();
+    assert_eq!(txn.insert(t, b"k", b"v2").unwrap_err().0, AbortReason::DuplicateKey);
+    txn.abort();
+    assert_eq!(w.stats().abort_reasons.duplicate_key, 1);
+    assert_eq!(w.stats().abort_reasons.user_requested, 0);
+
+    let mut txn = w.begin();
+    txn.write(t, b"other", b"x").unwrap();
+    txn.abort();
+    assert_eq!(w.stats().abort_reasons.duplicate_key, 1);
+    assert_eq!(w.stats().abort_reasons.user_requested, 1);
+    assert_eq!(w.stats().aborts, 2);
+}
+
+#[test]
 fn dropping_txn_without_commit_aborts() {
     let db = test_db();
     let t = db.create_table("t").unwrap();

@@ -716,9 +716,11 @@ impl<'w> Txn<'w> {
         }
     }
 
-    /// Aborts the transaction explicitly.
+    /// Aborts the transaction explicitly. The abort is filed under the
+    /// reason that poisoned the transaction, if an operation did, and as
+    /// [`AbortReason::UserRequested`] otherwise.
     pub fn abort(mut self) {
-        self.abort_inner(AbortReason::UserRequested);
+        self.abort_inner(self.poisoned.unwrap_or(AbortReason::UserRequested));
         self.finished = true;
     }
 

@@ -5,9 +5,9 @@
 //!
 //! ```text
 //!  acceptor ──► per-connection reader ──► worker inbox (pinned by conn id)
-//!                                              │  drain ≤ batch_max per
-//!                                              │  iteration, execute as
-//!                                              ▼  transactions
+//!                                              │  drain ≤ BATCH_MAX per
+//!                                              │  iteration, execute each
+//!                                              ▼  through a Session
 //!                                         per-connection outbox
 //!                                              │  writes tagged with their
 //!                                              ▼  commit epoch
@@ -16,9 +16,14 @@
 //!              then flushes the whole pipelined burst
 //! ```
 //!
-//! Each worker thread owns a [`silo_core::Worker`] handle and drains
-//! a *batch* of decoded requests per iteration, executing each as a
-//! transaction. A connection's requests are pinned to one worker, so its
+//! Each worker thread owns a [`silo_core::Session`] and drains a *batch* of
+//! decoded requests per iteration, executing each through the session's
+//! verbs: `get`/`put`/`insert`/`delete`/`scan`/`open_table` for single
+//! operations (one-shot transactions that retry transient OCC aborts) and
+//! `transact` for a `TXN` batch (run once; the client owns its retries).
+//! The server adds only what the wire needs on top: catalog validation, the
+//! write sheds, the token-replay window and durable-epoch tagging. A
+//! connection's requests are pinned to one worker, so its
 //! responses come back in request order — which is what makes fire-N-drain-N
 //! pipelining work without request ids.
 //!
@@ -44,8 +49,8 @@
 //!
 //! # Load shedding
 //!
-//! * **Backlog** — when a worker's inbox is over
-//!   [`ServerConfig::with_inbox_limit`], incoming *writes* are answered with
+//! * **Backlog** — when a worker's inbox holds more than `INBOX_LIMIT`
+//!   (4096) jobs, incoming *writes* are answered with
 //!   [`ErrorCode::ServerBusy`] without being executed (the rejection rides
 //!   the normal inbox path so response order is preserved).
 //! * **Durability degradation** — each batch checks
@@ -60,7 +65,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use silo_core::{Abort, AbortReason, Database, DurabilityHealth, Worker};
+use silo_core::{Database, DurabilityHealth, Session, Tid, WorkerStats};
 use silo_log::{DurableWait, SiloLogger};
 
 use crate::fault::{FaultStream, NetFaultPlan};
@@ -68,6 +73,18 @@ use crate::protocol::{
     self, ErrorCode, FrameError, Request, Response, TxnOp, DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION, SUPPORTED_FEATURES,
 };
+
+/// Maximum requests a worker drains and executes per iteration.
+const BATCH_MAX: usize = 64;
+/// Per-worker inbox backlog beyond which arriving writes are shed with
+/// `ServerBusy`.
+const INBOX_LIMIT: usize = 4096;
+/// Socket write timeout for response frames: bounds the shutdown drain even
+/// against a half-open peer that never reads.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+/// Tokenized write outcomes remembered per connection lineage for
+/// exactly-once replay (see [`crate::protocol::FEATURE_REQUEST_TOKENS`]).
+const TOKEN_WINDOW: usize = 128;
 
 /// Configuration for [`Server::start`].
 ///
@@ -79,7 +96,7 @@ use crate::protocol::{
 ///
 /// let config = ServerConfig::default()
 ///     .with_workers(4)
-///     .with_batch_max(128);
+///     .with_max_connections(256);
 /// assert_eq!(config.workers, 4);
 /// ```
 #[derive(Debug, Clone)]
@@ -88,7 +105,7 @@ pub struct ServerConfig {
     /// Address to listen on. Use port 0 to let the OS pick
     /// (see [`Server::local_addr`]).
     pub listen: String,
-    /// Number of request-executor threads, each owning one engine `Worker`.
+    /// Number of request-executor threads, each owning one engine `Session`.
     pub workers: usize,
     /// Maximum concurrent connections; the acceptor drops connections beyond
     /// this without serving them.
@@ -97,14 +114,6 @@ pub struct ServerConfig {
     /// answered with a `BadRequest` error and the connection is closed
     /// (the stream can no longer be trusted to be frame-aligned).
     pub max_frame_bytes: usize,
-    /// Maximum requests a worker drains and executes per iteration.
-    pub batch_max: usize,
-    /// Soft inbox backlog bound per worker; writes arriving beyond it are
-    /// shed with `ServerBusy`.
-    pub inbox_limit: usize,
-    /// Whether to shed writes with `DurabilityDegraded` while
-    /// [`Database::durability_health`] is not `Healthy`.
-    pub shed_on_degraded: bool,
     /// Per-frame read deadline: once a frame's first byte arrives, the rest
     /// must follow within this budget or the connection is dropped
     /// (slow-loris defense). `Duration::ZERO` disables it.
@@ -112,14 +121,6 @@ pub struct ServerConfig {
     /// Idle timeout: a connection with no frame activity for this long is
     /// closed. `Duration::ZERO` disables it.
     pub idle_timeout: Duration,
-    /// Socket write timeout for response frames, bounding the shutdown
-    /// drain even against a half-open peer that never reads.
-    /// `Duration::ZERO` disables it.
-    pub write_timeout: Duration,
-    /// How many tokenized write outcomes the server remembers per
-    /// connection lineage for exactly-once replay (see
-    /// [`crate::protocol::FEATURE_REQUEST_TOKENS`]).
-    pub token_window: usize,
     /// Wire fault-injection plan installed on every accepted connection
     /// (`None` in production: the I/O path then costs one branch per call).
     pub fault: Option<Arc<NetFaultPlan>>,
@@ -132,13 +133,8 @@ impl Default for ServerConfig {
             workers: 2,
             max_connections: 1024,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            batch_max: 64,
-            inbox_limit: 4096,
-            shed_on_degraded: true,
             read_timeout: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(300),
-            write_timeout: Duration::from_secs(30),
-            token_window: 128,
             fault: None,
         }
     }
@@ -169,24 +165,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the per-iteration batch bound.
-    pub fn with_batch_max(mut self, batch_max: usize) -> Self {
-        self.batch_max = batch_max.max(1);
-        self
-    }
-
-    /// Sets the per-worker inbox backlog bound for `ServerBusy` shedding.
-    pub fn with_inbox_limit(mut self, limit: usize) -> Self {
-        self.inbox_limit = limit.max(1);
-        self
-    }
-
-    /// Enables or disables `DurabilityDegraded` write shedding.
-    pub fn with_shed_on_degraded(mut self, shed: bool) -> Self {
-        self.shed_on_degraded = shed;
-        self
-    }
-
     /// Sets the per-frame read deadline (`Duration::ZERO` disables).
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
@@ -196,18 +174,6 @@ impl ServerConfig {
     /// Sets the idle-connection timeout (`Duration::ZERO` disables).
     pub fn with_idle_timeout(mut self, timeout: Duration) -> Self {
         self.idle_timeout = timeout;
-        self
-    }
-
-    /// Sets the socket write timeout (`Duration::ZERO` disables).
-    pub fn with_write_timeout(mut self, timeout: Duration) -> Self {
-        self.write_timeout = timeout;
-        self
-    }
-
-    /// Sets the per-lineage token-replay window size.
-    pub fn with_token_window(mut self, window: usize) -> Self {
-        self.token_window = window.max(1);
         self
     }
 
@@ -229,9 +195,12 @@ pub struct ServerStats {
     pub requests: u64,
     /// Frames that failed to decode, plus torn/oversized streams.
     pub protocol_errors: u64,
-    /// Transactions committed on behalf of clients.
+    /// Transactions committed on behalf of clients: the sum of the server
+    /// workers' [`WorkerStats::commits`].
     pub txns_committed: u64,
-    /// Transactions aborted (after retries, where applicable).
+    /// Aborted transaction attempts, each retry of a single-operation
+    /// request included: the sum of the server workers'
+    /// [`WorkerStats::aborts`].
     pub txns_aborted: u64,
     /// Writes durably acknowledged (an `Ok` frame actually sent after the
     /// durable-epoch wait).
@@ -262,8 +231,6 @@ struct StatsInner {
     connections_rejected: AtomicU64,
     requests: AtomicU64,
     protocol_errors: AtomicU64,
-    txns_committed: AtomicU64,
-    txns_aborted: AtomicU64,
     writes_acked: AtomicU64,
     writes_shed_busy: AtomicU64,
     writes_shed_degraded: AtomicU64,
@@ -275,14 +242,17 @@ struct StatsInner {
 }
 
 impl StatsInner {
-    fn snapshot(&self) -> ServerStats {
+    fn snapshot(&self, txns: &[TxnCounts]) -> ServerStats {
+        let sum = |count: fn(&TxnCounts) -> &AtomicU64| {
+            txns.iter().map(|t| count(t).load(Ordering::Acquire)).sum()
+        };
         ServerStats {
             connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
             connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            txns_committed: self.txns_committed.load(Ordering::Relaxed),
-            txns_aborted: self.txns_aborted.load(Ordering::Relaxed),
+            txns_committed: sum(|t| &t.commits),
+            txns_aborted: sum(|t| &t.aborts),
             writes_acked: self.writes_acked.load(Ordering::Relaxed),
             writes_shed_busy: self.writes_shed_busy.load(Ordering::Relaxed),
             writes_shed_degraded: self.writes_shed_degraded.load(Ordering::Relaxed),
@@ -292,6 +262,22 @@ impl StatsInner {
             idle_closed: self.idle_closed.load(Ordering::Relaxed),
             token_replays: self.token_replays.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// One server worker's engine transaction counts, copied from its session's
+/// [`WorkerStats`] before each response is queued, so a client that has
+/// seen a response also sees the transaction it ran counted.
+#[derive(Default)]
+struct TxnCounts {
+    commits: AtomicU64,
+    aborts: AtomicU64,
+}
+
+impl TxnCounts {
+    fn publish(&self, stats: &WorkerStats) {
+        self.commits.store(stats.commits, Ordering::Release);
+        self.aborts.store(stats.aborts, Ordering::Release);
     }
 }
 
@@ -450,6 +436,8 @@ struct Shared {
     stats: StatsInner,
     stop: AtomicBool,
     inboxes: Vec<Inbox>,
+    /// One slot per worker, indexed like `inboxes`.
+    txns: Vec<TxnCounts>,
     conns: Mutex<Vec<Arc<Conn>>>,
     lineages: Mutex<LineageTable>,
     active_conns: AtomicUsize,
@@ -486,21 +474,22 @@ impl Server {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let inboxes = (0..config.workers.max(1)).map(|_| Inbox::default()).collect();
+        let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             db,
             logger,
             config,
             stats: StatsInner::default(),
             stop: AtomicBool::new(false),
-            inboxes,
+            inboxes: (0..workers).map(|_| Inbox::default()).collect(),
+            txns: (0..workers).map(|_| TxnCounts::default()).collect(),
             conns: Mutex::new(Vec::new()),
             lineages: Mutex::new(LineageTable::default()),
             active_conns: AtomicUsize::new(0),
             io_threads: Mutex::new(Vec::new()),
         });
 
-        let workers = (0..shared.inboxes.len())
+        let workers = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -528,7 +517,7 @@ impl Server {
 
     /// A snapshot of the server's counters.
     pub fn stats(&self) -> ServerStats {
-        self.shared.stats.snapshot()
+        self.shared.stats.snapshot(&self.shared.txns)
     }
 
     /// Stops accepting, closes every connection, drains in-flight requests,
@@ -639,9 +628,7 @@ fn spawn_connection(shared: &Arc<Shared>, stream: TcpStream, id: u64) -> std::io
     stream.set_nonblocking(false)?;
     let read_half = stream.try_clone()?;
     let write_half = stream.try_clone()?;
-    if !shared.config.write_timeout.is_zero() {
-        write_half.set_write_timeout(Some(shared.config.write_timeout)).ok();
-    }
+    write_half.set_write_timeout(Some(WRITE_TIMEOUT)).ok();
     let conn = Arc::new(Conn {
         id,
         stream,
@@ -764,7 +751,7 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: TcpStream) {
                 // worker's inbox is over the watermark. The rejection rides
                 // the inbox so the response order still matches the request
                 // order.
-                if req.is_write() && inbox.len() >= shared.config.inbox_limit {
+                if req.is_write() && inbox.len() >= INBOX_LIMIT {
                     shared.stats.writes_shed_busy.fetch_add(1, Ordering::Relaxed);
                     inbox.push(Job::Reject(
                         Arc::clone(conn),
@@ -862,9 +849,9 @@ fn writer_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: TcpStream) {
 }
 
 fn worker_loop(shared: &Arc<Shared>, index: usize) {
-    let mut worker = shared.db.register_worker();
+    let mut session = shared.db.session();
     let inbox = &shared.inboxes[index];
-    let mut batch = Vec::with_capacity(shared.config.batch_max);
+    let mut batch = Vec::with_capacity(BATCH_MAX);
     loop {
         {
             let mut q = inbox.q.lock().unwrap_or_else(|e| e.into_inner());
@@ -874,7 +861,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                 // epoch (the `E − e_w ≤ 1` invariant) and with it the
                 // durable watermark every pending ack waits on.
                 drop(q);
-                worker.quiesce();
+                session.quiesce();
                 q = inbox.q.lock().unwrap_or_else(|e| e.into_inner());
             }
             while q.is_empty() && !shared.stop.load(Ordering::Acquire) {
@@ -886,16 +873,14 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
             if q.is_empty() {
                 return; // stop requested and fully drained
             }
-            let take = q.len().min(shared.config.batch_max);
+            let take = q.len().min(BATCH_MAX);
             batch.extend(q.drain(..take));
         }
         // One health probe per batch — the whole point of batching the
         // check: thousands of pipelined requests cost one atomic load each
         // iteration, not one per request.
         let health = shared.db.durability_health();
-        let degraded = shared.config.shed_on_degraded
-            && !matches!(health, DurabilityHealth::Healthy)
-            && shared.logger.is_some();
+        let degraded = !matches!(health, DurabilityHealth::Healthy) && shared.logger.is_some();
         for job in batch.drain(..) {
             match job {
                 Job::Hangup(conn) => conn.close(),
@@ -908,7 +893,8 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                 }
                 Job::Request(conn, req) => {
                     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    let out = handle_request(shared, &mut worker, &conn, req, degraded, health);
+                    let out = handle_request(shared, &mut session, &conn, req, degraded, health);
+                    shared.txns[index].publish(session.worker().stats());
                     conn.push(out);
                 }
             }
@@ -921,7 +907,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
 /// the degraded-writes shed — and everything else goes to [`execute`].
 fn handle_request(
     shared: &Shared,
-    worker: &mut Worker,
+    session: &mut Session,
     conn: &Arc<Conn>,
     req: Request,
     degraded: bool,
@@ -944,7 +930,7 @@ fn handle_request(
                     .lineages
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .acquire(lineage, shared.config.token_window);
+                    .acquire(lineage, TOKEN_WINDOW);
             }
             Outgoing {
                 durable_epoch: 0,
@@ -967,7 +953,7 @@ fn handle_request(
             let Some(window) = window else {
                 // Evicted under lineage pressure: execute as a fresh write
                 // (replay protection is bounded, not infinite).
-                return shed_or_execute(shared, worker, &req, degraded, health);
+                return shed_or_execute(shared, session, &req, degraded, health);
             };
             // Replay check *before* the degraded shed: a write that was
             // already applied and remembered must return its recorded
@@ -977,7 +963,7 @@ fn handle_request(
                 shared.stats.token_replays.fetch_add(1, Ordering::Relaxed);
                 return stored;
             }
-            let out = shed_or_execute(shared, worker, &req, degraded, health);
+            let out = shed_or_execute(shared, session, &req, degraded, health);
             // Remember only successful outcomes: a shed or abort is safe to
             // re-execute, and recording it would pin a transient failure as
             // the token's permanent answer.
@@ -989,14 +975,14 @@ fn handle_request(
             }
             out
         }
-        req => shed_or_execute(shared, worker, &req, degraded, health),
+        req => shed_or_execute(shared, session, &req, degraded, health),
     }
 }
 
 /// The degraded-durability write shed, applied on the way into [`execute`].
 fn shed_or_execute(
     shared: &Shared,
-    worker: &mut Worker,
+    session: &mut Session,
     req: &Request,
     degraded: bool,
     health: DurabilityHealth,
@@ -1017,21 +1003,22 @@ fn shed_or_execute(
             },
         };
     }
-    execute(shared, worker, req)
+    execute(shared, session, req)
 }
 
-/// How many times single-operation requests are retried on an OCC abort
-/// before the abort is surfaced to the client. Multi-op `Txn` requests are
-/// never auto-retried: the client owns their semantics.
-const SINGLE_OP_RETRIES: usize = 3;
-
-fn execute(shared: &Shared, worker: &mut Worker, req: &Request) -> Outgoing {
+/// Executes one request through the worker's session: single operations
+/// map onto the session's one-shot verbs (which retry transient OCC aborts),
+/// a `TXN` batch onto one [`Session::transact`] call. A committed write is
+/// tagged with its commit epoch so the writer holds the response until that
+/// epoch is durable (when a logger backs the server).
+fn execute(shared: &Shared, session: &mut Session, req: &Request) -> Outgoing {
     let db = &shared.db;
     // Catalog errors first, so transactions never see unknown table ids.
     if let Some(table) = req_tables(req).find(|&t| db.try_table(t).is_none()) {
         return reply_err(ErrorCode::NoSuchTable, format!("unknown table id {table}"));
     }
-    match req {
+    let durable = |tid: Tid| if shared.logger.is_some() { tid.epoch() } else { 0 };
+    let done = match req {
         Request::Health => {
             let health = db.durability_health();
             let global_epoch = db.epochs().global_epoch();
@@ -1040,102 +1027,66 @@ fn execute(shared: &Shared, worker: &mut Worker, req: &Request) -> Outgoing {
                 .as_ref()
                 .map(|l| l.durable_epoch())
                 .unwrap_or(global_epoch);
-            Outgoing {
-                durable_epoch: 0,
-                resp: Response::Health {
-                    health: health.into(),
-                    lag_epochs: global_epoch.saturating_sub(durable_epoch),
-                    durable_epoch,
-                    global_epoch,
-                },
-            }
+            Ok((0, Response::Health {
+                health: health.into(),
+                lag_epochs: global_epoch.saturating_sub(durable_epoch),
+                durable_epoch,
+                global_epoch,
+            }))
         }
-        Request::OpenTable { name } => match db.table_id(name).or_else(|_| {
-            // Create-if-missing; a racing creator is fine, resolve again.
-            db.create_table(name).or_else(|_| db.table_id(name))
-        }) {
-            Ok(id) => Outgoing { durable_epoch: 0, resp: Response::TableId { id } },
-            Err(e) => reply_err(ErrorCode::NoSuchTable, e.to_string()),
+        Request::OpenTable { name } => match session.open_table(name) {
+            Ok(id) => Ok((0, Response::TableId { id })),
+            Err(e) => return reply_err(ErrorCode::NoSuchTable, e.to_string()),
         },
-        Request::Get { table, key } => retry_single(shared, || {
-            let mut txn = worker.begin();
-            let value = txn.read(*table, key)?;
-            txn.commit()?;
-            shared.stats.txns_committed.fetch_add(1, Ordering::Relaxed);
-            Ok(Outgoing { durable_epoch: 0, resp: Response::Value { value } })
-        }),
-        Request::Scan { table, start, end, limit } => retry_single(shared, || {
-            let mut txn = worker.begin();
-            let entries = txn.scan(
-                *table,
-                start,
-                end.as_deref(),
-                if *limit == 0 { None } else { Some(*limit as usize) },
-            )?;
-            txn.commit()?;
-            shared.stats.txns_committed.fetch_add(1, Ordering::Relaxed);
-            Ok(Outgoing { durable_epoch: 0, resp: Response::Entries { entries } })
-        }),
-        Request::Put { table, key, value } => retry_single(shared, || {
-            let mut txn = worker.begin();
-            txn.write(*table, key, value)?;
-            let tid = txn.commit()?;
-            Ok(ack_write(shared, tid.epoch()))
-        }),
-        Request::Insert { table, key, value } => retry_single(shared, || {
-            let mut txn = worker.begin();
-            txn.insert(*table, key, value)?;
-            let tid = txn.commit()?;
-            Ok(ack_write(shared, tid.epoch()))
-        }),
-        Request::Delete { table, key } => retry_single(shared, || {
-            let mut txn = worker.begin();
-            txn.delete(*table, key)?;
-            let tid = txn.commit()?;
-            Ok(ack_write(shared, tid.epoch()))
-        }),
+        Request::Get { table, key } => {
+            session.get(*table, key).map(|value| (0, Response::Value { value }))
+        }
+        Request::Scan { table, start, end, limit } => session
+            .scan(*table, start, end.as_deref(), (*limit != 0).then_some(*limit as usize))
+            .map(|entries| (0, Response::Entries { entries })),
+        Request::Put { table, key, value } => {
+            session.put(*table, key, value).map(|tid| (durable(tid), Response::Ok))
+        }
+        Request::Insert { table, key, value } => {
+            session.insert(*table, key, value).map(|tid| (durable(tid), Response::Ok))
+        }
+        Request::Delete { table, key } => {
+            session.delete(*table, key).map(|(_, tid)| (durable(tid), Response::Ok))
+        }
         Request::Txn { ops } => {
-            // Multi-op transactions execute exactly once; the client decides
-            // whether an abort is worth retrying.
-            let mut txn = worker.begin();
-            let mut reads = Vec::new();
-            let result: Result<(), Abort> = (|| {
-                for op in ops {
-                    match op {
-                        TxnOp::Get { table, key } => reads.push(txn.read(*table, key)?),
-                        TxnOp::Put { table, key, value } => txn.write(*table, key, value)?,
-                        TxnOp::Insert { table, key, value } => txn.insert(*table, key, value)?,
-                        TxnOp::Delete { table, key } => {
-                            txn.delete(*table, key)?;
+            let writes = ops.iter().any(TxnOp::is_write);
+            session
+                .transact(|txn| {
+                    let mut reads = Vec::new();
+                    for op in ops {
+                        match op {
+                            TxnOp::Get { table, key } => reads.push(txn.read(*table, key)?),
+                            TxnOp::Put { table, key, value } => txn.write(*table, key, value)?,
+                            TxnOp::Insert { table, key, value } => {
+                                txn.insert(*table, key, value)?
+                            }
+                            TxnOp::Delete { table, key } => {
+                                txn.delete(*table, key)?;
+                            }
                         }
                     }
-                }
-                Ok(())
-            })();
-            match result.and_then(|()| txn.commit()) {
-                Ok(tid) => {
-                    shared.stats.txns_committed.fetch_add(1, Ordering::Relaxed);
-                    // Read results always come back; a transaction that also
-                    // wrote carries its commit epoch so the writer holds the
-                    // frame until the group is durable.
-                    let has_writes =
-                        ops.iter().any(TxnOp::is_write) && shared.logger.is_some();
-                    Outgoing {
-                        durable_epoch: if has_writes { tid.epoch() } else { 0 },
-                        resp: Response::TxnOk { reads },
-                    }
-                }
-                Err(abort) => {
-                    shared.stats.txns_aborted.fetch_add(1, Ordering::Relaxed);
-                    reply_err(ErrorCode::Aborted, abort.0.to_string())
-                }
-            }
+                    Ok(reads)
+                })
+                .map(|(reads, tid)| {
+                    (if writes { durable(tid) } else { 0 }, Response::TxnOk { reads })
+                })
         }
         // Resolved by `handle_request` before execution ever sees them.
-        Request::Hello { .. } | Request::Tokenized { .. } => reply_err(
-            ErrorCode::Internal,
-            "protocol-level request reached the executor".to_string(),
-        ),
+        Request::Hello { .. } | Request::Tokenized { .. } => {
+            return reply_err(
+                ErrorCode::Internal,
+                "protocol-level request reached the executor".to_string(),
+            )
+        }
+    };
+    match done {
+        Ok((durable_epoch, resp)) => Outgoing { durable_epoch, resp },
+        Err(abort) => reply_err(ErrorCode::Aborted, abort.0.to_string()),
     }
 }
 
@@ -1164,36 +1115,4 @@ fn req_tables(req: &Request) -> impl Iterator<Item = u32> + '_ {
 
 fn reply_err(code: ErrorCode, detail: String) -> Outgoing {
     Outgoing { durable_epoch: 0, resp: Response::Error { code, detail } }
-}
-
-fn ack_write(shared: &Shared, epoch: u64) -> Outgoing {
-    shared.stats.txns_committed.fetch_add(1, Ordering::Relaxed);
-    if shared.logger.is_some() {
-        Outgoing { durable_epoch: epoch, resp: Response::Ok }
-    } else {
-        Outgoing { durable_epoch: 0, resp: Response::Ok }
-    }
-}
-
-/// Runs a single-op request, retrying benign OCC aborts a few times. A
-/// `DuplicateKey` abort is surfaced immediately (it is a semantic outcome,
-/// not contention), as is `UserRequested`.
-fn retry_single(shared: &Shared, mut f: impl FnMut() -> Result<Outgoing, Abort>) -> Outgoing {
-    let mut attempt = 0;
-    loop {
-        match f() {
-            Ok(out) => return out,
-            Err(abort) => {
-                shared.stats.txns_aborted.fetch_add(1, Ordering::Relaxed);
-                let retryable = !matches!(
-                    abort.0,
-                    AbortReason::DuplicateKey | AbortReason::UserRequested
-                );
-                if !retryable || attempt + 1 >= SINGLE_OP_RETRIES {
-                    return reply_err(ErrorCode::Aborted, abort.0.to_string());
-                }
-                attempt += 1;
-            }
-        }
-    }
 }

@@ -103,6 +103,14 @@ fn basic_requests_roundtrip() {
         Response::Health { .. } => {}
         other => panic!("unexpected {other:?}"),
     }
+
+    // Put, two gets, the txn and the scan committed; the duplicate insert
+    // aborted once (a duplicate key is never retried). The unknown-table
+    // get, `OpenTable` and `Health` start no transaction. The counts are
+    // published before each response is queued, so they are exact here.
+    let stats = server.stats();
+    assert_eq!(stats.txns_committed, 5);
+    assert_eq!(stats.txns_aborted, 1);
 }
 
 #[test]

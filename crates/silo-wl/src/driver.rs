@@ -173,6 +173,16 @@ pub struct LatencySummary {
     pub max_us: u64,
 }
 
+/// The nearest-rank `p`-quantile (`0.0..=1.0`) of ascending `sorted`
+/// samples: the sample at index `round((n − 1) · p)`, or 0 when empty.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[rank.min(sorted.len() - 1)]
+}
+
 impl LatencySummary {
     fn from_samples(mut samples: Vec<u64>) -> Self {
         if samples.is_empty() {
@@ -184,8 +194,8 @@ impl LatencySummary {
         LatencySummary {
             samples: n as u64,
             mean_us: sum as f64 / n as f64,
-            p50_us: samples[n / 2],
-            p99_us: samples[((n * 99) / 100).min(n - 1)],
+            p50_us: percentile(&samples, 0.50),
+            p99_us: percentile(&samples, 0.99),
             max_us: samples[n - 1],
         }
     }
